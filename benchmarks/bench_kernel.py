@@ -19,13 +19,14 @@ workloads that bracket the engine's regimes:
   Carrillo–Lipman tube path — banded lower bound, tube build and
   pruned sweep all inside the timed side — asserting bit-identical
   scores. This is the ≥5x acceptance number for the pruned engine.
-* **scaling** — the synchronisation-regime curve: score-only sweeps of
-  one mid-size triple through the per-plane-barrier engine (``shared``)
-  and the block-tiled engine (``blocks``) at 1/2/4/8 workers, in the
-  same interleaved A/B harness as the kernel sections. Scores are
-  asserted bit-identical to the serial wavefront at every point. The
-  gate number is the best shared/blocks wall-time ratio at ≥ 4 workers
-  — the regime where the per-plane barrier wall dominates.
+* **scaling** — the parallel executor against the simplest correct
+  alternative: ``score3_blocks(workers=2)`` (a one-call
+  ``WavefrontPool``: fork, staging, counter-synchronised sweep and
+  teardown all timed) versus the serial
+  ``wavefront_sweep(score_only=True)`` on one diverged n=240 triple, in
+  the same interleaved A/B harness as the kernel sections, scores
+  asserted equal. The gate number is the serial/blocks wall-time
+  ratio; the section records the usable cores it was measured on.
 * **long_anchored** — an n≈2000 high-identity triple through
   ``align3(method="anchored")`` (anchor discovery + cube-chain
   decomposition, ``repro.anchor``): end-to-end wall time, chain
@@ -105,7 +106,7 @@ def _ab_min(run_ref, run_new, repeats):
     return t_ref, t_new, ref_result, new_result
 
 BASELINE_NAME = "BENCH_kernel.json"
-SCHEMA = "bench-kernel/2"
+SCHEMA = "bench-kernel/3"
 
 #: Default workload knobs. ``quick`` halves the repeats for the CI gate.
 DEFAULT_CONFIG = {
@@ -117,9 +118,9 @@ DEFAULT_CONFIG = {
     "hirschberg_base_cells": 20_000,
     "high_sim_n": 240,
     "anchored_n": 2000,
-    "scaling_n": 96,
-    "scaling_workers": [1, 2, 4, 8],
-    "scaling_repeats": 3,
+    "scaling_n": 240,
+    "scaling_workers": 2,
+    "scaling_repeats": 10,
     "repeats": 5,
     "seed": 20240805,
 }
@@ -306,57 +307,56 @@ def _measure_high_similarity(config, scheme):
     }
 
 
+def usable_cores() -> int:
+    """CPUs this process may run on (its affinity mask, where known)."""
+    import os
+
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _measure_scaling(config, scheme):
-    """Barrier-wall regime: per-plane ``shared`` vs block-tiled ``blocks``.
+    """Parallel regime: the block-tiled executor vs the serial sweep.
 
-    Both engines compute identical cells with the same kernel; the only
-    difference is synchronisation — one barrier per plane versus a
-    handful of counter waits per plane *band*. Their wall-time ratio at
-    each worker count is therefore a direct measurement of the barrier
-    wall, machine-neutral in the same way the kernel A/B ratios are
-    (both sides fork the same number of processes on the same box).
+    Both sides compute the identical cells with the same kernel; the
+    blocks side additionally pays everything a ``method="blocks"`` call
+    costs — forking the one-call pool, staging the shared buffers,
+    counter waits and teardown — so the ratio is the end-to-end speedup
+    a caller actually gets. ``_ab_min`` interleaves the two over
+    ``scaling_repeats`` rounds so machine drift hits both equally.
 
-    The ``speedup`` gate number is the best shared/blocks ratio at
-    ≥ 4 workers: with few workers both regimes are dispatch-dominated
-    and the ratio hovers near 1.0; the barrier wall only opens up once
-    the per-plane rendezvous has enough legs. On hosts without ``fork``
-    both engines fall back to the identical serial sweep, so the ratio
-    degrades to ~1.0 rather than lying.
+    A ratio above 1.0 needs at least two cores the workers can run on;
+    the section records ``usable_cores`` (and whether ``fork`` exists —
+    without it the engine falls back to the serial sweep) so the gate
+    can refuse a number from a box that cannot show a speedup.
     """
     from repro.parallel.blocks import score3_blocks
-    from repro.parallel.shared import score3_shared
+    from repro.parallel.executor import fork_available
+    from repro.seqio.generate import MutationModel
 
     n = config["scaling_n"]
-    seqs = mutated_family(n, seed=config["seed"] + 5005)
-    expect = wavefront_sweep(*seqs, scheme, score_only=True).score
-    repeats = config["scaling_repeats"]
-    curve = {}
-    for w in config["scaling_workers"]:
-        t_shared, t_blocks, s_shared, s_blocks = _ab_min(
-            lambda: score3_shared(*seqs, scheme, workers=w),
-            lambda: score3_blocks(*seqs, scheme, workers=w),
-            repeats,
-        )
-        assert s_shared == expect and s_blocks == expect, (
-            f"scaling score mismatch at workers={w}: "
-            f"shared={s_shared} blocks={s_blocks} serial={expect}"
-        )
-        curve[str(w)] = {
-            "shared_seconds": t_shared,
-            "blocks_seconds": t_blocks,
-            "speedup": t_shared / t_blocks,
-        }
-    gate = [w for w in config["scaling_workers"] if w >= 4]
-    if not gate:
-        gate = [max(config["scaling_workers"])]
-    gate_w = max(gate, key=lambda w: curve[str(w)]["speedup"])
+    workers = config["scaling_workers"]
+    seqs = mutated_family(
+        n, model=MutationModel().scaled(2.0), seed=config["seed"] + 5005
+    )
+    t_serial, t_blocks, s_serial, s_blocks = _ab_min(
+        lambda: wavefront_sweep(*seqs, scheme, score_only=True).score,
+        lambda: score3_blocks(*seqs, scheme, workers=workers),
+        config["scaling_repeats"],
+    )
+    assert s_serial == s_blocks, (
+        f"scaling score mismatch: blocks={s_blocks} serial={s_serial}"
+    )
     return {
         "n": n,
-        "workers": list(config["scaling_workers"]),
-        "gate_workers": gate_w,
-        "curve": curve,
-        "speedup": curve[str(gate_w)]["speedup"],
-        "score": expect,
+        "workers": workers,
+        "usable_cores": usable_cores(),
+        "fork": fork_available(),
+        "serial_seconds": t_serial,
+        "blocks_seconds": t_blocks,
+        "speedup": t_serial / t_blocks,
+        "score": s_serial,
     }
 
 
@@ -459,13 +459,12 @@ def summarise(doc: dict) -> str:
         )
     sc = doc.get("scaling")
     if sc:
-        points = " ".join(
-            f"w={w}:{sc['curve'][str(w)]['speedup']:.2f}x"
-            for w in sc["workers"]
-        )
         lines.append(
-            f"scaling        : n={sc['n']} blocks vs shared — {points} "
-            f"(gate {sc['speedup']:.2f}x at w={sc['gate_workers']})"
+            f"scaling        : n={sc['n']} blocks w={sc['workers']} "
+            f"{sc['blocks_seconds'] * 1000:.0f} ms vs serial "
+            f"{sc['serial_seconds'] * 1000:.0f} ms — "
+            f"speedup {sc['speedup']:.2f}x "
+            f"({sc['usable_cores']} usable cores)"
         )
     la = doc.get("long_anchored")
     if la:

@@ -49,8 +49,7 @@ CHAIN_ENGINES = (
     "hirschberg",
     "pruned",
     "banded",
-    "shared",
-    "threads",
+    "blocks",
 )
 
 
@@ -122,14 +121,10 @@ def _solve_segment(
         from repro.core.band import align3_banded
 
         return align3_banded(sa, sb, sc, scheme), engine
-    if engine == "shared":
-        from repro.parallel.shared import align3_shared
+    if engine == "blocks":
+        from repro.parallel.blocks import align3_blocks
 
-        return align3_shared(sa, sb, sc, scheme, workers=workers), engine
-    if engine == "threads":
-        from repro.parallel.threads import align3_threads
-
-        return align3_threads(sa, sb, sc, scheme, workers=workers), engine
+        return align3_blocks(sa, sb, sc, scheme, workers=workers), engine
     raise ValueError(
         f"unknown chain engine {engine!r}; available: {CHAIN_ENGINES}"
     )

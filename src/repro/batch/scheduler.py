@@ -62,11 +62,11 @@ from repro.obs import trace as _trace
 from repro.util.validation import check_sequences
 
 #: *Resolved* methods the long-lived pool serves (its workers run the
-#: shared wavefront kernel, which reproduces these bit-identically).
+#: wavefront kernel, which reproduces these bit-identically).
 #: ``auto`` is resolved before this check, so a request the cost model
 #: routes to ``pruned``/``banded``/``hirschberg`` dispatches to
 #: ``align3`` instead of losing its pruning to the pool.
-POOL_METHODS = ("wavefront", "shared", "threads")
+POOL_METHODS = ("wavefront",)
 
 #: Namespace prefix for order-insensitive secondary cache entries, kept
 #: disjoint from exact digests so a permutation-derived alignment can

@@ -29,8 +29,7 @@ from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
 from repro.core.wavefront import score3_wavefront, wavefront_sweep
 from repro.heuristics import align3_centerstar, align3_progressive
-from repro.parallel.shared import score3_shared
-from repro.parallel.threads import score3_threads
+from repro.parallel.blocks import score3_blocks
 from repro.seqio.alphabet import DNA, PROTEIN
 from repro.seqio.datasets import bundled_sequences
 from repro.seqio.generate import MutationModel, mutated_family
@@ -160,11 +159,11 @@ def exp_f2(quick: bool) -> ExperimentResult:
 
 
 # ---------------------------------------------------------------------------
-# F3 — measured shared-memory speedup on this machine
+# F3 — measured block-tiled speedup on this machine
 # ---------------------------------------------------------------------------
 
 
-@experiment("f3", "Figure 3: measured shared-memory speedup (this machine)")
+@experiment("f3", "Figure 3: measured block-tiled speedup (this machine)")
 def exp_f3(quick: bool) -> ExperimentResult:
     import multiprocessing as mp
 
@@ -172,22 +171,19 @@ def exp_f3(quick: bool) -> ExperimentResult:
     cores = mp.cpu_count()
     table = Table(
         f"F3 measured wall time (s) and speedup, {cores} cores",
-        ["n", "t_serial", "t_threads", "t_shared", "speedup_shared"],
+        ["n", "t_serial", "t_blocks", "speedup_blocks"],
     )
     data: dict[str, list] = {"rows": []}
     for n in ns:
         seqs = _family(n)
         t_serial, s0 = repeat_min(lambda: score3_wavefront(*seqs, _DNA), repeats=3)
-        t_thr, s1 = repeat_min(
-            lambda: score3_threads(*seqs, _DNA, workers=cores), repeats=3
+        t_blk, s1 = repeat_min(
+            lambda: score3_blocks(*seqs, _DNA, workers=cores), repeats=3, warmup=1
         )
-        t_shm, s2 = repeat_min(
-            lambda: score3_shared(*seqs, _DNA, workers=cores), repeats=3, warmup=1
-        )
-        assert abs(s0 - s1) < 1e-9 and abs(s0 - s2) < 1e-9
-        table.add_row(n, t_serial, t_thr, t_shm, t_serial / t_shm)
-        data["rows"].append((n, t_serial, t_thr, t_shm, t_serial / t_shm))
-    return ExperimentResult("f3", "shared-memory speedup", table.render(), data)
+        assert s0 == s1
+        table.add_row(n, t_serial, t_blk, t_serial / t_blk)
+        data["rows"].append((n, t_serial, t_blk, t_serial / t_blk))
+    return ExperimentResult("f3", "block-tiled speedup", table.render(), data)
 
 
 @experiment("f3pool", "Figure 3 addendum: persistent-pool speedup (this machine)")
@@ -635,8 +631,7 @@ def exp_engines(quick: bool) -> ExperimentResult:
         ("wavefront", lambda: score3_wavefront(*seqs, _DNA)),
         ("slab", lambda: score3_slab(*seqs, _DNA)),
         ("hirschberg", lambda: align3_hirschberg(*seqs, _DNA).score),
-        ("shared(2)", lambda: score3_shared(*seqs, _DNA, workers=2)),
-        ("threads(2)", lambda: score3_threads(*seqs, _DNA, workers=2)),
+        ("blocks(2)", lambda: score3_blocks(*seqs, _DNA, workers=2)),
     ):
         t0 = time.perf_counter()
         score = fn()

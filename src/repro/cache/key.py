@@ -12,7 +12,7 @@ an engine would be handed the same inputs. The digest therefore covers
 * the **equivalence class** of the *resolved* method
   (:func:`method_key_class`), not the raw request string. Every exact
   linear-gap engine (``dp3d``, ``wavefront``, ``hirschberg``, ``pruned``,
-  ``banded``, ``shared``, ``threads``) reproduces the reference argmax
+  ``banded``, ``blocks``) reproduces the reference argmax
   tie-breaks and returns bit-identical rows and scores, so their results
   are interchangeable and share the single class ``"exact"``. Keying on
   the raw string was a bug: ``align3(method="auto")`` hashed ``"auto"``
@@ -52,7 +52,7 @@ MODES = ("global", "local", "semiglobal")
 #: pruning/banding keep every cell of every optimal path). Their cached
 #: results are interchangeable.
 EXACT_METHODS = frozenset(
-    {"dp3d", "wavefront", "hirschberg", "pruned", "banded", "shared", "blocks", "threads"}
+    {"dp3d", "wavefront", "hirschberg", "pruned", "banded", "blocks"}
 )
 
 

@@ -67,7 +67,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         help="engine for 3 sequences (auto/dp3d/wavefront/hirschberg/"
-        "pruned/banded/affine/shared/blocks/threads/anchored); 'auto' picks via "
+        "pruned/banded/affine/blocks/anchored); 'auto' picks via "
         "the --auto-policy cost model; 'anchored' discovers an anchor "
         "chain and solves sub-cubes (long high-identity triples)",
     )
@@ -118,7 +118,7 @@ def _build_parser() -> argparse.ArgumentParser:
         default=None,
         metavar="SPEC",
         help="arm a fault for chaos testing, e.g. "
-        "'worker_crash@pool:worker=1,plane=25' (repeatable; see "
+        "'worker_crash@blocks:worker=1,plane=25' (repeatable; see "
         "docs/robustness.md)",
     )
     p_align.add_argument(

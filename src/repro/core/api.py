@@ -21,11 +21,10 @@ method           engine
                  memory; pruned cells are never touched)
 ``banded``       certified band doubling around the main diagonal
 ``affine``       7-state affine-gap DP (requires ``scheme.gap_open != 0``)
-``shared``       multiprocess shared-memory wavefront (per-plane barrier)
 ``blocks``       block-tiled multiprocess wavefront: row-slab x plane-band
-                 blocks streamed over per-worker readiness counters
-                 (a fraction of the synchronisation of ``shared``)
-``threads``      thread-pool wavefront (block-tiled)
+                 blocks streamed over per-worker readiness counters (a
+                 :class:`~repro.parallel.executor.WavefrontPool` that
+                 lives for one call)
 ``anchored``     anchor-discovering divide and conquer: shared unique
                  k-mers are chained into a cube-splitting anchor chain
                  (:mod:`repro.anchor`), each sub-cube solved by the
@@ -98,9 +97,7 @@ AVAILABLE_METHODS = (
     "pruned",
     "banded",
     "affine",
-    "shared",
     "blocks",
-    "threads",
     "anchored",
 )
 
@@ -284,7 +281,7 @@ def align3(
     method:
         One of :data:`AVAILABLE_METHODS`.
     workers:
-        Worker count for the ``shared``/``blocks``/``threads`` methods.
+        Worker count for the ``blocks`` method.
     allow_degrade:
         When the requested engine's estimated footprint exceeds the memory
         budget (see :mod:`repro.resilience.degrade`), True (default)
@@ -500,18 +497,10 @@ def align3(
             from repro.core.affine import align3_affine
 
             aln = align3_affine(sa, sb, sc, scheme)
-        elif method == "shared":
-            from repro.parallel.shared import align3_shared
-
-            aln = align3_shared(sa, sb, sc, scheme, workers=workers)
-        elif method == "blocks":
+        else:  # blocks
             from repro.parallel.blocks import align3_blocks
 
             aln = align3_blocks(sa, sb, sc, scheme, workers=workers)
-        else:  # threads
-            from repro.parallel.threads import align3_threads
-
-            aln = align3_threads(sa, sb, sc, scheme, workers=workers)
 
     aln.meta.setdefault("engine", method)
     aln.meta["method"] = method

@@ -1,31 +1,20 @@
-"""Shared-memory parallel wavefront engines.
+"""Block-tiled multiprocess wavefront executor.
 
 The anti-diagonal plane is the natural parallel unit: all cells on plane
-``i + j + k = d`` are independent given the previous three planes. Two
-synchronisation regimes are provided:
+``i + j + k = d`` are independent given the previous three planes.
+Rather than meeting at one barrier per plane, each worker owns a fixed
+row slab and streams *plane bands* (3-D blocks) through a deep rotating
+plane window, syncing on per-worker readiness counters only at band
+edges (:mod:`repro.parallel.blockwave`). Same cells, same kernel,
+bit-identical output to the serial wavefront.
 
-* **per-plane barrier** (:mod:`repro.parallel.shared`) — each plane's
-  rows are re-sliced across workers with one barrier per plane; the
-  direct, measured counterpart of the paper's cluster algorithm;
-* **block-tiled counters** (:mod:`repro.parallel.blocks`,
-  :class:`~repro.parallel.executor.WavefrontPool`,
-  :mod:`repro.parallel.threads`) — each worker owns a fixed row slab and
-  streams *plane bands* (3-D blocks) through a deep rotating plane
-  window, syncing on per-worker readiness counters only at band edges
-  (:mod:`repro.parallel.blockwave`). Same cells, same kernel, same
-  bit-identical output — a small fraction of the synchronisation.
+One executor runs every parallel sweep:
 
-Executors:
-
-* :mod:`repro.parallel.shared` — per-call ``multiprocessing`` workers
-  over ``SharedMemory`` buffers, one barrier per plane;
-* :mod:`repro.parallel.blocks` — per-call block-tiled workers
-  (counter-synchronised, tube-aware);
-* :mod:`repro.parallel.executor` — :class:`WavefrontPool`, the
-  persistent block-tiled pool for repeated small jobs;
-* :mod:`repro.parallel.threads` — a block-tiled thread pool: mostly a
-  GIL demonstration, though NumPy kernels release the GIL enough for
-  modest gains on large planes.
+* :class:`~repro.parallel.executor.WavefrontPool` — persistent
+  shared-memory workers with supervised, block-granular recovery and
+  optional :class:`~repro.core.tube.PruningTube` pruning;
+* :mod:`repro.parallel.blocks` — ``align3_blocks``/``score3_blocks``,
+  a pool that lives for one call (``method="blocks"``).
 
 Partitioning helpers (row slabs, plane bands, the block dependency
 grid) live in :mod:`repro.parallel.partition`.
@@ -44,9 +33,7 @@ from repro.parallel.partition import (
     row_slabs,
 )
 from repro.parallel.blocks import align3_blocks, score3_blocks
-from repro.parallel.shared import align3_shared, score3_shared
-from repro.parallel.threads import align3_threads, score3_threads
-from repro.parallel.executor import WavefrontPool
+from repro.parallel.executor import WavefrontPool, fork_available
 
 __all__ = [
     "split_range",
@@ -61,9 +48,6 @@ __all__ = [
     "row_slabs",
     "align3_blocks",
     "score3_blocks",
-    "align3_shared",
-    "score3_shared",
-    "align3_threads",
-    "score3_threads",
     "WavefrontPool",
+    "fork_available",
 ]

@@ -1,9 +1,9 @@
-"""Counter-synchronised block streaming for the block-tiled engines.
+"""Counter-synchronised block streaming for the block-tiled executor.
 
-The per-plane engines pay one full barrier (every worker, one IPC
-round-trip) per anti-diagonal plane — ``3n`` barriers per sweep, which
-dominates once the kernel is fast. The block-tiled engines replace the
-barrier with **per-worker readiness counters**: ``done[w]`` is the last
+A per-plane barrier (every worker, one IPC round-trip per anti-diagonal
+plane) costs ``3n`` barriers per sweep, which dominates once the kernel
+is fast. The block-tiled executor replaces the barrier with
+**per-worker readiness counters**: ``done[w]`` is the last
 plane worker ``w`` has fully published. Workers own fixed row slabs
 (:func:`repro.parallel.partition.row_slabs`), advance band-by-band
 (:func:`~repro.parallel.partition.plane_bands`), and before computing a
@@ -28,25 +28,20 @@ makes (same clipping, same tie-breaks, disjoint row writes), so scores
 and rows are bit-identical to the sequential wavefront regardless of
 the partition.
 
-Recovery is *simpler* than the barrier engines' verdict protocol: a
-dead worker's counter freezes, every neighbour just keeps waiting on
-it, and the dispatcher (:class:`CounterSupervisor`) respawns a
-replacement resuming at ``done[w] + 1``. The window arithmetic
-guarantees planes ``resume-1 .. resume-3`` are still intact — the
-neighbours' own progress was gated on the dead worker's frozen counter
-— so replay needs no checkpoint and stays bit-identical. A replacement
-on a tube-pruned run inherits the *same* per-plane live-row window
-arrays the first incarnation used (they are computed once, pre-fork),
-so recovery neither recomputes pruned rows nor loses the pruning
-speedup.
+Recovery needs no barrier protocol: a dead worker's counter freezes,
+every neighbour just keeps waiting on it, and the dispatcher
+(:class:`CounterSupervisor`) respawns a replacement resuming at
+``done[w] + 1``. The window arithmetic guarantees planes
+``resume-1 .. resume-3`` are still intact — the neighbours' own
+progress was gated on the dead worker's frozen counter — so replay
+needs no checkpoint and stays bit-identical. A replacement on a
+tube-pruned run reads the *same* per-plane live-row window arrays the
+first incarnation used (the dispatcher stages them once per job), so
+recovery neither recomputes pruned rows nor loses the pruning speedup.
 
-This module is engine-agnostic: :mod:`repro.parallel.blocks` (per-call
-fork engine) and :class:`repro.parallel.executor.WavefrontPool` both
-drive :func:`sweep_blocks` with shared-memory counters; the thread
-engine reimplements the same loop over a plain list (GIL-atomic
-stores). Cross-process counter visibility relies on aligned 8-byte
-stores issued after the plane writes they cover — the same ordering
-assumption the barrier engines' heartbeat protocol already makes.
+:class:`repro.parallel.executor.WavefrontPool` drives :func:`sweep_blocks`
+with shared-memory counters. Cross-process counter visibility relies on
+aligned 8-byte stores issued after the plane writes they cover.
 """
 
 from __future__ import annotations
@@ -62,7 +57,16 @@ from repro.obs import hooks as _obs
 from repro.core.wavefront import compute_plane_rows
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord, WorkerFailure
-from repro.resilience.supervise import EXIT_NO_VERDICT, SupervisionPolicy
+from repro.resilience.supervise import (
+    EXIT_NO_VERDICT,
+    SupervisionPolicy,
+    parent_alive,
+    reap,
+)
+
+#: Engine label of the block-tiled executor in fault specs
+#: (``worker_crash@blocks``), failure records and obs metrics.
+ENGINE = "blocks"
 
 #: Seconds of pure re-reads before a waiter starts sleeping. Kept tiny:
 #: on an oversubscribed host (CI often pins this repo to one core)
@@ -95,11 +99,6 @@ class BlockProgress:
 
     def reset(self) -> None:
         self._arr[self._base : self._base + self.workers] = -1
-
-
-def _parent_alive() -> bool:
-    parent = mp.parent_process()
-    return parent is None or parent.is_alive()
 
 
 def worker_counter_wait(
@@ -138,7 +137,7 @@ def worker_counter_wait(
         now = time.perf_counter()
         if now >= next_liveness:
             next_liveness = now + 0.05
-            if not _parent_alive():
+            if not parent_alive():
                 os._exit(EXIT_NO_VERDICT)
             if deadline is not None and now > deadline:
                 os._exit(EXIT_NO_VERDICT)
@@ -159,23 +158,24 @@ class CounterSupervisor:
     everyone — is terminated and respawned the same way. Respawns per
     worker are capped at ``policy.max_respawns``; beyond that the run
     fails hard with the accumulated :class:`FailureRecord` log.
+
+    ``final`` is the counter value a worker publishes once it has
+    finished the job; a counter at ``final`` is never a straggler.
     """
 
     def __init__(
         self,
-        engine: str,
         progress: BlockProgress,
         procs: dict[int, mp.Process],
         respawn: Callable[[int, int], mp.Process],
         policy: SupervisionPolicy,
-        dmax: int,
+        final: int,
     ):
-        self.engine = engine
         self.progress = progress
         self.procs = procs
         self.respawn = respawn
         self.policy = policy
-        self.dmax = dmax
+        self.final = final
         self.failures: list[FailureRecord] = []
         self._respawns: dict[int, int] = {}
         # Straggler clock: worker -> (last observed counter, observed at).
@@ -202,19 +202,18 @@ class CounterSupervisor:
                 self.scan()
                 next_scan = time.perf_counter() + self.policy.barrier_timeout
 
-    def wait_all(self, target: int | None = None) -> None:
-        """Wait until every worker's counter reaches ``target``
-        (default: the final plane) — the job-completion rendezvous."""
-        goal = self.dmax if target is None else target
+    def wait_all(self) -> None:
+        """Wait until every worker's counter reaches ``final`` — the
+        job-completion rendezvous."""
         for w in sorted(self.procs):
-            self.wait_for(w, goal)
+            self.wait_for(w, self.final)
 
     def scan(self) -> bool:
         """One detection round; returns True when a casualty was handled."""
         casualties: list[tuple[int, mp.Process, str]] = []
         now = time.perf_counter()
         floor = min(
-            (self.progress.done(w) for w in self.procs), default=self.dmax
+            (self.progress.done(w) for w in self.procs), default=self.final
         )
         for w, proc in self.procs.items():
             if not proc.is_alive():
@@ -223,7 +222,7 @@ class CounterSupervisor:
                 )
                 continue
             done = self.progress.done(w)
-            if done >= self.dmax:
+            if done >= self.final:
                 self._seen.pop(w, None)
                 continue
             last_done, since = self._seen.get(w, (None, now))
@@ -235,11 +234,7 @@ class CounterSupervisor:
                 # Alive, silent past grace, and the pipeline minimum —
                 # everyone above is legitimately waiting on *it*. Kill
                 # and replay; a mere waiter never matches ``== floor``.
-                proc.terminate()
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover
-                    proc.kill()
-                    proc.join(timeout=5)
+                reap([proc])
                 casualties.append(
                     (w, proc, f"straggler (silent {now - since:.1f}s), killed")
                 )
@@ -248,7 +243,7 @@ class CounterSupervisor:
             count = self._respawns.get(w, 0) + 1
             self._respawns[w] = count
             record = FailureRecord(
-                engine=self.engine,
+                engine=ENGINE,
                 worker=w,
                 plane=resume,
                 reason=reason,
@@ -256,33 +251,21 @@ class CounterSupervisor:
                 respawned=count <= self.policy.max_respawns,
             )
             self.failures.append(record)
-            _obs.record_failure(self.engine, w, resume, reason)
+            _obs.record_failure(ENGINE, w, resume, reason)
             if count > self.policy.max_respawns:
-                self.abort()
+                reap(self.procs.values())
                 raise WorkerFailure(
-                    f"{self.engine} worker {w} failed {count} times "
+                    f"{ENGINE} worker {w} failed {count} times "
                     f"(max_respawns={self.policy.max_respawns})",
                     self.failures,
                 )
             self.procs[w] = self.respawn(w, resume)
             self._seen.pop(w, None)
-            _obs.record_recovery(self.engine, w, resume)
+            _obs.record_recovery(ENGINE, w, resume)
         return bool(casualties)
-
-    def abort(self) -> None:
-        """Kill and reap every child (hard failure / forced shutdown)."""
-        for proc in self.procs.values():
-            if proc.is_alive():
-                proc.terminate()
-        for proc in self.procs.values():
-            proc.join(timeout=5)
-            if proc.is_alive():  # pragma: no cover
-                proc.kill()
-                proc.join(timeout=5)
 
 
 def sweep_blocks(
-    engine: str,
     worker_id: int,
     n_slabs: int,
     slab: tuple[int, int],
@@ -302,7 +285,6 @@ def sweep_blocks(
     row_hi_by_d: np.ndarray | None = None,
     start_plane: int = 0,
     record: bool = True,
-    inject: Callable[[str, int, int, int], None] | None = None,
 ) -> int:
     """One worker's block loop: stream every band of its row slab.
 
@@ -320,16 +302,8 @@ def sweep_blocks(
     tube-invalid cells, which the kernel overwrites with ``NEG``), just
     a counter publish so the neighbours keep flowing.
 
-    ``inject`` is the fault-injection hook (default
-    :func:`repro.resilience.faults.maybe_inject`, which calls
-    ``os._exit`` — correct for process workers; the thread engine
-    substitutes a raising hook because ``os._exit`` in a thread would
-    take the whole process down).
-
     Returns the number of valid cells computed.
     """
-    if inject is None:
-        inject = _faults.maybe_inject
     n1, n2, n3 = dims
     dmax = n1 + n2 + n3
     lo, hi = slab
@@ -360,7 +334,7 @@ def sweep_blocks(
         else:
             t0 = 0.0
         for d in range(s, e + 1):
-            inject(engine, w, d, dmax)
+            _faults.maybe_inject(ENGINE, w, d, dmax)
             rlo, rhi = lo, hi
             if row_lo_by_d is not None and row_hi_by_d is not None:
                 rlo = max(rlo, int(row_lo_by_d[d]))
@@ -387,5 +361,5 @@ def sweep_blocks(
         if observing:
             busy += time.perf_counter() - t0
     if observing:
-        _obs.record_worker(engine, w, busy, waited, cells, dmax + 1)
+        _obs.record_worker(ENGINE, w, busy, waited, cells, dmax + 1)
     return cells

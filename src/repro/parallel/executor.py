@@ -1,40 +1,46 @@
-"""Persistent multiprocess worker pool for the wavefront engine.
+"""The block-tiled multiprocess wavefront executor.
 
-:mod:`repro.parallel.shared` spawns its workers per call, which costs tens
-of milliseconds — more than the whole sweep below n ≈ 100 (the F3 caveat
-in ``EXPERIMENTS.md``). :class:`WavefrontPool` keeps the workers and
-shared buffers alive across calls, the way a long-running MPI rank set
-would, so repeated alignments pay only the per-job dispatch cost.
+:class:`WavefrontPool` is the one process executor of
+:mod:`repro.parallel`. It keeps its workers and shared buffers alive
+across calls, the way a long-running MPI rank set would, so repeated
+alignments pay only the per-job dispatch cost; the ``blocks`` method
+(:mod:`repro.parallel.blocks`) is a pool that lives for one call.
 
 Protocol
 --------
 The pool allocates capacity-sized shared buffers once (a ``W``-deep
-rotating plane window, three profile-matrix buffers, a move cube and a
-small control block). Per job the main process writes the job descriptor
-(dims, gap, score-only flag) and the profile matrices, resets the planes
-and the progress counters, and everyone meets at the start barrier;
-workers then stream the block-tiled sweep (fixed row slab × plane bands,
-counter synchronisation — :mod:`repro.parallel.blockwave`) and return to
-the start barrier for the next job. Shutdown is a job with the shutdown
-flag set.
+rotating plane window, three profile-matrix buffers, a move cube, a
+tube buffer and a small control block). Per job the main process writes
+the job descriptor (dims, gap, score-only and tube flags), the profile
+matrices and — for a pruned job — the tube's ``klo``/``khi`` intervals
+with the per-plane live-row windows, resets the planes and the progress
+counters, and everyone meets at the start barrier; workers then stream
+the block-tiled sweep (fixed row slab × plane bands, counter
+synchronisation — :mod:`repro.parallel.blockwave`), add their
+valid-cell tallies to the control block, publish completion and return
+to the start barrier for the next job. Shutdown is a job with the
+shutdown flag set.
 
 Workers whose id exceeds the job's slab count (more workers than rows)
 publish completion immediately and go straight back to the start
-barrier: they pay zero per-plane cost for that job instead of meeting
-every barrier with an empty assignment, which is what the old per-plane
-protocol made them do.
+barrier: they pay zero per-plane cost for that job. With a tube, bands
+that fall entirely outside it are skipped rather than scheduled.
 
-Supervision (default on) makes the pool survive worker failure: the
-control block carries one progress counter per worker, every counter
-wait has a timeout, and the dispatcher responds to a stall by respawning
-dead (or wedged) workers resuming at their published counter — block-
-granular replay (:class:`~repro.parallel.blockwave.CounterSupervisor`).
-The window arithmetic keeps the planes a replacement needs intact, so
-replay needs no checkpoint and the output stays bit-identical to the
-serial engine. See ``docs/robustness.md``.
+Supervision (default on) makes the pool survive worker failure: every
+counter wait has a timeout, and the dispatcher responds to a stall by
+respawning dead (or wedged) workers resuming at their published counter
+— block-granular replay
+(:class:`~repro.parallel.blockwave.CounterSupervisor`). A replacement
+reads the same staged tube and live-row windows its predecessor used,
+and the window arithmetic keeps the planes it needs intact, so replay
+needs no checkpoint and the output stays bit-identical to the serial
+engine. See ``docs/robustness.md``.
 
-Determinism matches :mod:`repro.parallel.blocks`: identical slabs,
-identical argmax tie-breaking, bit-identical output to the serial engine.
+Determinism: every cell is computed exactly once by the same kernel
+call the serial engine makes, so scores, rows and valid-cell counts are
+bit-identical to :func:`repro.core.wavefront.wavefront_sweep` — with or
+without a tube, with or without mid-sweep recovery (after a recovery the
+cell count is a lower bound: a dead incarnation's tally is lost).
 """
 
 from __future__ import annotations
@@ -52,9 +58,12 @@ from repro.obs import hooks as _obs
 from repro.obs import trace as _trace
 from repro.core.scoring import ScoringScheme
 from repro.core.traceback import traceback_moves
+from repro.core.tube import PruningTube
 from repro.core.types import Alignment3, moves_to_columns
+from repro.core.wavefront import _tube_row_ranges
 from repro.core.workspace import PlaneWorkspace
 from repro.parallel.blockwave import (
+    ENGINE,
     BlockProgress,
     CounterSupervisor,
     sweep_blocks,
@@ -66,29 +75,36 @@ from repro.parallel.partition import (
     plane_window,
     row_slabs,
 )
-from repro.parallel.shared import fork_available
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord
 from repro.resilience.supervise import (
     SupervisionPolicy,
     Supervisor,
+    reap,
     worker_idle_wait,
 )
 from repro.util.validation import check_positive, check_sequences
 
 # Control-block slots (float64 each). One progress counter per worker
-# (the blockwave ``done[w]`` protocol) sits at _CTRL_COUNTER_BASE.
+# (the blockwave ``done[w]`` protocol) sits at _CTRL_COUNTER_BASE,
+# followed by one valid-cell tally per worker.
 _CTRL_SHUTDOWN = 0
 _CTRL_N1 = 1
 _CTRL_N2 = 2
 _CTRL_N3 = 3
 _CTRL_G2 = 4
 _CTRL_SCORE_ONLY = 5
-_CTRL_COUNTER_BASE = 6
+_CTRL_TUBE = 6
+_CTRL_COUNTER_BASE = 7
+
+
+def fork_available() -> bool:
+    """True when the ``fork`` start method exists on this platform."""
+    return "fork" in mp.get_all_start_methods()
 
 
 def _ctrl_slots(workers: int) -> int:
-    return _CTRL_COUNTER_BASE + workers
+    return _CTRL_COUNTER_BASE + 2 * workers
 
 
 def _job_band(band_cap: int, dmax: int, active: int) -> int:
@@ -97,12 +113,58 @@ def _job_band(band_cap: int, dmax: int, active: int) -> int:
     return min(band_cap, band_depth(dmax, active, cap=band_cap))
 
 
+def _tube_elems(n1: int, n2: int, dmax: int) -> int:
+    """int64 slots of the tube buffer: ``klo``, ``khi``, then the
+    per-plane live-row windows ``row_lo``, ``row_hi``."""
+    return 2 * (n1 + 1) * (n2 + 1) + 2 * (dmax + 1)
+
+
+class _JobViews:
+    """Job-shaped views over the pool's capacity-sized shared buffers."""
+
+    def __init__(
+        self,
+        shms: dict[str, shared_memory.SharedMemory],
+        dims: tuple[int, int, int],
+        window: int,
+        score_only: bool,
+        tubed: bool,
+    ):
+        n1, n2, n3 = dims
+        dmax = n1 + n2 + n3
+        self.planes = [
+            np.ndarray(
+                (n1 + 2, n2 + 2), dtype=np.float64, buffer=shms[f"plane{r}"].buf
+            )
+            for r in range(window)
+        ]
+        self.sab = np.ndarray((n1, n2), dtype=np.float64, buffer=shms["sab"].buf)
+        self.sac = np.ndarray((n1, n3), dtype=np.float64, buffer=shms["sac"].buf)
+        self.sbc = np.ndarray((n2, n3), dtype=np.float64, buffer=shms["sbc"].buf)
+        self.moves = (
+            None
+            if score_only
+            else np.ndarray(
+                (n1 + 1, n2 + 1, n3 + 1), dtype=np.int8, buffer=shms["moves"].buf
+            )
+        )
+        self.klo = self.khi = self.row_lo = self.row_hi = None
+        if tubed:
+            flat = np.ndarray(
+                (_tube_elems(n1, n2, dmax),), dtype=np.intp, buffer=shms["tube"].buf
+            )
+            a = (n1 + 1) * (n2 + 1)
+            self.klo = flat[:a].reshape(n1 + 1, n2 + 1)
+            self.khi = flat[a : 2 * a].reshape(n1 + 1, n2 + 1)
+            self.row_lo = flat[2 * a : 2 * a + dmax + 1]
+            self.row_hi = flat[2 * a + dmax + 1 :]
+
+
 def _pool_worker(
     worker_id: int,
     workers: int,
     capacity: tuple[int, int, int],
     band_cap: int,
-    window_cap: int,
     names: dict[str, str],
     start_barrier,
     policy: SupervisionPolicy | None,
@@ -125,9 +187,9 @@ def _pool_worker(
             (_ctrl_slots(workers),), dtype=np.float64, buffer=shms["ctrl"].buf
         )
         progress = BlockProgress(ctrl, workers, base=_CTRL_COUNTER_BASE)
+        tally = _CTRL_COUNTER_BASE + workers + worker_id
         # One capacity-sized workspace per worker process, reused across
-        # every job the pool ever runs — the persistent-pool analogue of
-        # long-lived MPI rank buffers (zero steady-state allocation).
+        # every job the pool ever runs (zero steady-state allocation).
         ws = PlaneWorkspace(capacity)
         resume = resume_plane
         while True:
@@ -138,69 +200,54 @@ def _pool_worker(
                     worker_idle_wait(start_barrier, policy)
             if ctrl[_CTRL_SHUTDOWN]:
                 return
-            n1 = int(ctrl[_CTRL_N1])
-            n2 = int(ctrl[_CTRL_N2])
-            n3 = int(ctrl[_CTRL_N3])
-            g2 = float(ctrl[_CTRL_G2])
-            score_only = bool(ctrl[_CTRL_SCORE_ONLY])
-            dims = (n1, n2, n3)
+            dims = (int(ctrl[_CTRL_N1]), int(ctrl[_CTRL_N2]), int(ctrl[_CTRL_N3]))
+            n1, n2, n3 = dims
             dmax = n1 + n2 + n3
             slabs = row_slabs(n1, workers)
             active = len(slabs)
-            if worker_id >= active:
-                # More workers than row slabs: nothing to compute for
-                # this job. Publish completion so nobody ever waits on
-                # this counter and go idle — zero per-plane cost,
-                # instead of meeting every plane barrier with an empty
-                # assignment as the old protocol required.
-                progress.publish(worker_id, dmax)
-                resume = None
-                continue
-            depth = _job_band(band_cap, dmax, active)
-            window = min(plane_window(depth), dmax + 4)
-            planes = [
-                np.ndarray(
-                    (n1 + 2, n2 + 2), dtype=np.float64, buffer=shms[f"plane{r}"].buf
+            if worker_id < active:
+                depth = _job_band(band_cap, dmax, active)
+                window = min(plane_window(depth), dmax + 4)
+                v = _JobViews(
+                    shms, dims, window,
+                    bool(ctrl[_CTRL_SCORE_ONLY]), bool(ctrl[_CTRL_TUBE]),
                 )
-                for r in range(window)
-            ]
-            sab = np.ndarray((n1, n2), dtype=np.float64, buffer=shms["sab"].buf)
-            sac = np.ndarray((n1, n3), dtype=np.float64, buffer=shms["sac"].buf)
-            sbc = np.ndarray((n2, n3), dtype=np.float64, buffer=shms["sbc"].buf)
-            move_cube = (
-                None
-                if score_only
-                else np.ndarray(
-                    (n1 + 1, n2 + 1, n3 + 1), dtype=np.int8, buffer=shms["moves"].buf
+                tube = None if v.klo is None else PruningTube(v.klo, v.khi, n3)
+                # Observability state was inherited at pool construction
+                # time (the workers fork once); per-job records still
+                # carry the correct pid/worker ids. A mid-sweep
+                # replacement skips the per-worker record — its tallies
+                # would not cover the job.
+                ctrl[tally] += sweep_blocks(
+                    worker_id,
+                    active,
+                    slabs[worker_id],
+                    plane_bands(dmax, depth),
+                    dims,
+                    v.planes,
+                    v.sab,
+                    v.sac,
+                    v.sbc,
+                    float(ctrl[_CTRL_G2]),
+                    v.moves,
+                    ws,
+                    progress,
+                    lambda w, target: worker_counter_wait(
+                        progress, w, target, policy
+                    ),
+                    tube=tube,
+                    row_lo_by_d=v.row_lo,
+                    row_hi_by_d=v.row_hi,
+                    start_plane=0 if resume is None else resume,
+                    record=resume is None,
                 )
-            )
-            # Observability state was inherited at pool construction time
-            # (the workers fork once); per-job records still carry the
-            # correct pid/worker ids. A mid-sweep replacement skips the
-            # per-worker record — its tallies would not cover the job.
-            sweep_blocks(
-                "pool",
-                worker_id,
-                active,
-                slabs[worker_id],
-                plane_bands(dmax, depth),
-                dims,
-                planes,
-                sab,
-                sac,
-                sbc,
-                g2,
-                move_cube,
-                ws,
-                progress,
-                lambda w, target: worker_counter_wait(
-                    progress, w, target, policy
-                ),
-                start_plane=0 if resume is None else resume,
-                record=resume is None,
-            )
-            if resume is None and _obs.active():
-                _trace.flush()
+                if _obs.active():
+                    _trace.flush()
+            # Completion is one past the last plane, published after the
+            # tally so the dispatcher never reads a partial count. A
+            # worker with no slab (more workers than rows) publishes it
+            # straight away.
+            progress.publish(worker_id, dmax + 1)
             resume = None
     finally:
         for shm in shms.values():
@@ -223,9 +270,8 @@ class WavefrontPool:
     supervise:
         When True (default) every counter wait has a timeout and dead or
         wedged workers are respawned resuming at their published counter;
-        ``policy`` tunes the timeouts. When False the pool behaves like
-        the pre-supervision engine (infinite waits) — kept for overhead
-        measurement.
+        ``policy`` tunes the timeouts. When False the pool waits
+        patiently forever — kept for overhead measurement.
     band:
         Upper bound on the plane-band depth (planes streamed between
         synchronisations). Sizes the shared plane window once:
@@ -254,7 +300,9 @@ class WavefrontPool:
         self.capacity = tuple(int(c) for c in capacity)
         self.workers = workers
         self.band = band
-        self.window = plane_window(band)
+        # No job needs more planes than its cube has (plus the 3-plane
+        # read horizon).
+        self.window = min(plane_window(band), sum(self.capacity) + 4)
         self.policy = (
             (policy or SupervisionPolicy.from_env()) if supervise else None
         )
@@ -279,6 +327,7 @@ class WavefrontPool:
             "sac": max(1, c1 * c3 * 8),
             "sbc": max(1, c2 * c3 * 8),
             "moves": max(1, (c1 + 1) * (c2 + 1) * (c3 + 1)),
+            "tube": _tube_elems(c1, c2, c1 + c2 + c3) * 8,
         }
         for r in range(self.window):
             sizes[f"plane{r}"] = (c1 + 2) * (c2 + 2) * 8
@@ -300,11 +349,10 @@ class WavefrontPool:
             # while idle); mid-sweep supervision is the per-job
             # CounterSupervisor in _run_parallel.
             self._start_supervisor = Supervisor(
-                "pool",
+                ENGINE,
                 barrier=self._start_barrier,
-                rec=None,  # type: ignore[arg-type]  # start waits never touch it
                 procs=self._procs,
-                respawn=lambda w, _d: self._spawn(w, None, faults_armed=False),
+                respawn=lambda w: self._spawn(w, None, faults_armed=False),
                 policy=self.policy,
             )
 
@@ -322,7 +370,6 @@ class WavefrontPool:
                 self.workers,
                 self.capacity,
                 self.band,
-                self.window,
                 self._names,
                 self._start_barrier,
                 self.policy,
@@ -364,12 +411,7 @@ class WavefrontPool:
                         pass  # dead/wedged worker; escalation handles it
                 for proc in self._procs.values():
                     proc.join(timeout=10)
-                    if proc.is_alive():
-                        proc.terminate()
-                        proc.join(timeout=5)
-                    if proc.is_alive():  # pragma: no cover
-                        proc.kill()
-                        proc.join(timeout=5)
+                reap(self._procs.values())
         finally:
             for shm in self._shms.values():
                 shm.close()
@@ -377,10 +419,21 @@ class WavefrontPool:
                     shm.unlink()
                 except FileNotFoundError:  # pragma: no cover
                     pass
+            # The start supervisor's respawn callback refers back to the
+            # pool, so the pool itself waits for the cyclic GC; release
+            # its capacity-sized workspace now.
+            self._ws = None
 
     # ------------------------------------------------------------------
 
-    def _check_job(self, sa: str, sb: str, sc: str, scheme: ScoringScheme):
+    def _check_job(
+        self,
+        sa: str,
+        sb: str,
+        sc: str,
+        scheme: ScoringScheme,
+        tube: PruningTube | None,
+    ) -> None:
         if self._closed:
             raise RuntimeError("pool is closed")
         if self._failed:
@@ -396,13 +449,9 @@ class WavefrontPool:
                 raise ValueError(
                     f"job dims {dims} exceed pool capacity {self.capacity}"
                 )
-        return dims
-
-    def _dispatch_start(self) -> None:
-        if self._start_supervisor is not None:
-            self._start_supervisor.wait_job_start(self._start_barrier)
-        else:
-            self._start_barrier.wait()
+        n1, n2, n3 = dims
+        if tube is not None and tube.shape != (n1 + 1, n2 + 1, n3 + 1):
+            raise ValueError(f"tube shape {tube.shape} does not match cube")
 
     def _run(
         self,
@@ -411,31 +460,28 @@ class WavefrontPool:
         sc: str,
         scheme: ScoringScheme,
         score_only: bool,
-    ) -> tuple[float, np.ndarray | None]:
-        n1, n2, n3 = self._check_job(sa, sb, sc, scheme)
+        tube: PruningTube | None,
+    ) -> tuple[float, np.ndarray | None, dict[str, Any]]:
+        """Run one job; returns (score, move_cube_copy, job meta)."""
+        self._check_job(sa, sb, sc, scheme, tube)
         if self._serial:
             from repro.core.wavefront import wavefront_sweep
 
             res = wavefront_sweep(
-                sa, sb, sc, scheme, score_only=score_only, workspace=self._ws
+                sa, sb, sc, scheme, score_only=score_only,
+                workspace=self._ws, tube=tube,
             )
-            return res.score, res.move_cube
+            job = {"active_workers": 1, "cells": res.cells_computed}
+            return res.score, res.move_cube, job
 
         try:
-            return self._run_parallel(sa, sb, sc, scheme, score_only)
+            return self._run_parallel(sa, sb, sc, scheme, score_only, tube)
         except Exception:
             # An unrecovered failure (WorkerFailure, broken protocol)
             # leaves buffers in an unknown state; poison the pool so
             # later jobs fail fast, and kill what is left.
             self._failed = True
-            for proc in self._procs.values():
-                if proc.is_alive():
-                    proc.terminate()
-            for proc in self._procs.values():
-                proc.join(timeout=5)
-                if proc.is_alive():  # pragma: no cover
-                    proc.kill()
-                    proc.join(timeout=5)
+            reap(self._procs.values())
             raise
 
     def _run_parallel(
@@ -445,9 +491,9 @@ class WavefrontPool:
         sc: str,
         scheme: ScoringScheme,
         score_only: bool,
-    ) -> tuple[float, np.ndarray | None]:
+        tube: PruningTube | None,
+    ) -> tuple[float, np.ndarray | None, dict[str, Any]]:
         n1, n2, n3 = len(sa), len(sb), len(sc)
-        sab, sac, sbc = scheme.profile_matrices(sa, sb, sc)
         dims = (n1, n2, n3)
         dmax = n1 + n2 + n3
         slabs = row_slabs(n1, self.workers)
@@ -455,47 +501,45 @@ class WavefrontPool:
         depth = _job_band(self.band, dmax, active)
         window = min(plane_window(depth), dmax + 4)
         # Stage the job into the shared buffers.
-        if n1 and n2:
-            np.ndarray((n1, n2), dtype=np.float64, buffer=self._shms["sab"].buf)[:] = sab
-        if n1 and n3:
-            np.ndarray((n1, n3), dtype=np.float64, buffer=self._shms["sac"].buf)[:] = sac
-        if n2 and n3:
-            np.ndarray((n2, n3), dtype=np.float64, buffer=self._shms["sbc"].buf)[:] = sbc
-        planes = [
-            np.ndarray(
-                (n1 + 2, n2 + 2), dtype=np.float64, buffer=self._shms[f"plane{r}"].buf
-            )
-            for r in range(window)
-        ]
-        for p in planes:
+        v = _JobViews(self._shms, dims, window, score_only, tube is not None)
+        v.sab[:], v.sac[:], v.sbc[:] = scheme.profile_matrices(sa, sb, sc)
+        for p in v.planes:
             p.fill(NEG)
-        move_cube = None
-        if not score_only:
-            move_cube = np.ndarray(
-                (n1 + 1, n2 + 1, n3 + 1), dtype=np.int8, buffer=self._shms["moves"].buf
-            )
-            move_cube.fill(0)
+        if v.moves is not None:
+            v.moves.fill(0)
+        if tube is not None:
+            # Staged once per job: every incarnation of every worker
+            # (first spawn and respawned replacements alike) reads the
+            # same intervals and per-plane live-row windows.
+            v.klo[:], v.khi[:] = tube.klo, tube.khi
+            v.row_lo[:], v.row_hi[:] = _tube_row_ranges(tube, dmax)
+        g2 = 2.0 * scheme.gap
         self._ctrl[_CTRL_N1] = n1
         self._ctrl[_CTRL_N2] = n2
         self._ctrl[_CTRL_N3] = n3
-        self._ctrl[_CTRL_G2] = 2.0 * scheme.gap
+        self._ctrl[_CTRL_G2] = g2
         self._ctrl[_CTRL_SCORE_ONLY] = 1.0 if score_only else 0.0
+        self._ctrl[_CTRL_TUBE] = 0.0 if tube is None else 1.0
+        tallies = self._ctrl[_CTRL_COUNTER_BASE + self.workers :]
+        tallies[:] = 0.0
         # Counters must read -1 before any worker sees the released
         # start barrier (workers only read them post-release).
         self._progress.reset()
 
         observing = _obs.active()
         t_sweep = time.perf_counter() if observing else 0.0
-        self._dispatch_start()
+        if self._start_supervisor is not None:
+            self._start_supervisor.wait_job_start()
+        else:
+            self._start_barrier.wait()
         supervisor: CounterSupervisor | None = None
         if self.policy is not None:
             supervisor = CounterSupervisor(
-                "pool",
                 self._progress,
                 self._procs,
                 respawn=self._respawn,
                 policy=self.policy,
-                dmax=dmax,
+                final=dmax + 1,
             )
             wait = supervisor.wait_for
         else:
@@ -507,48 +551,53 @@ class WavefrontPool:
                     delay = min(delay * 2, 0.002)
 
         # The dispatcher is worker 0, owning the bottom slab.
-        g2 = 2.0 * scheme.gap
-        sab_v = np.ndarray((n1, n2), dtype=np.float64, buffer=self._shms["sab"].buf)
-        sac_v = np.ndarray((n1, n3), dtype=np.float64, buffer=self._shms["sac"].buf)
-        sbc_v = np.ndarray((n2, n3), dtype=np.float64, buffer=self._shms["sbc"].buf)
         try:
-            sweep_blocks(
-                "pool",
+            cells = sweep_blocks(
                 0,
                 active,
                 slabs[0],
                 plane_bands(dmax, depth),
                 dims,
-                planes,
-                sab_v,
-                sac_v,
-                sbc_v,
+                v.planes,
+                v.sab,
+                v.sac,
+                v.sbc,
                 g2,
-                move_cube,
+                v.moves,
                 self._ws,
                 self._progress,
                 wait,
+                tube=tube,
+                row_lo_by_d=v.row_lo,
+                row_hi_by_d=v.row_hi,
             )
             if supervisor is not None:
                 supervisor.wait_all()  # job-completion rendezvous
             else:
                 for w in range(1, self.workers):
-                    wait(w, dmax)
+                    wait(w, dmax + 1)
         finally:
             if supervisor is not None:
                 self._failures.extend(supervisor.failures)
 
-        score = float(planes[dmax % window][n1 + 1, n2 + 1])
-        moves = None if move_cube is None else move_cube.copy()
+        cells += int(tallies.sum())
+        score = float(v.planes[dmax % window][n1 + 1, n2 + 1])
+        moves = None if v.moves is None else v.moves.copy()
         if observing:
             _obs.record_sweep(
-                "pool",
-                cells=(n1 + 1) * (n2 + 1) * (n3 + 1),
+                ENGINE,
+                cells=cells,
                 seconds=time.perf_counter() - t_sweep,
                 peak_plane_bytes=window * (n1 + 2) * (n2 + 2) * 8,
-                move_cube_bytes=0 if move_cube is None else move_cube.nbytes,
+                move_cube_bytes=0 if moves is None else moves.nbytes,
             )
-        return score, moves
+        job = {
+            "active_workers": active,
+            "band": depth,
+            "window": window,
+            "cells": cells,
+        }
+        return score, moves, job
 
     # ------------------------------------------------------------------
 
@@ -560,25 +609,64 @@ class WavefrontPool:
             records.extend(self._start_supervisor.failures)
         return records
 
-    def score3(self, sa: str, sb: str, sc: str, scheme: ScoringScheme) -> float:
-        """Optimal SP score (score-only sweep on the pool)."""
-        score, _ = self._run(sa, sb, sc, scheme, score_only=True)
-        return score
-
-    def align3(
-        self, sa: str, sb: str, sc: str, scheme: ScoringScheme
-    ) -> Alignment3:
-        """Optimal alignment with traceback, computed on the pool."""
-        score, move_cube = self._run(sa, sb, sc, scheme, score_only=False)
-        assert move_cube is not None
-        moves = traceback_moves(move_cube)
-        cols = moves_to_columns(moves, sa, sb, sc)
-        rows = tuple("".join(col[r] for col in cols) for r in range(3))
-        meta = {
+    def _meta(self, job: dict[str, Any]) -> dict[str, Any]:
+        return {
             "engine": "pool",
             "workers": self.workers,
             "serial_fallback": self._serial,
             "supervised": self.policy is not None,
             "recoveries": len(self.failures),
+            **job,
         }
-        return Alignment3(rows=rows, score=score, meta=meta)  # type: ignore[arg-type]
+
+    def score3(
+        self,
+        sa: str,
+        sb: str,
+        sc: str,
+        scheme: ScoringScheme,
+        tube: PruningTube | None = None,
+    ) -> float:
+        """Optimal SP score (score-only sweep on the pool)."""
+        score, _moves, _job = self._run(sa, sb, sc, scheme, True, tube)
+        return score
+
+    def align3(
+        self,
+        sa: str,
+        sb: str,
+        sc: str,
+        scheme: ScoringScheme,
+        tube: PruningTube | None = None,
+    ) -> Alignment3:
+        """Optimal alignment with traceback, computed on the pool.
+
+        ``tube`` restricts the sweep to a
+        :class:`~repro.core.tube.PruningTube` keep-region; ``meta["cells"]``
+        counts the valid cells computed.
+        """
+        score, move_cube, job = self._run(sa, sb, sc, scheme, False, tube)
+        return traced_alignment(
+            sa, sb, sc, score, move_cube, self._meta(job), tube
+        )
+
+
+def traced_alignment(
+    sa: str,
+    sb: str,
+    sc: str,
+    score: float,
+    move_cube: np.ndarray | None,
+    meta: dict[str, Any],
+    tube: PruningTube | None,
+) -> Alignment3:
+    """Trace a finished sweep's move cube back into an alignment."""
+    if tube is not None and score <= NEG / 2:
+        raise RuntimeError(
+            "terminal cell unreachable (over-aggressive pruning tube?)"
+        )
+    assert move_cube is not None
+    moves = traceback_moves(move_cube)
+    cols = moves_to_columns(moves, sa, sb, sc)
+    rows = tuple("".join(col[r] for col in cols) for r in range(3))
+    return Alignment3(rows=rows, score=score, meta=meta)  # type: ignore[arg-type]

@@ -59,11 +59,12 @@ def balanced_blocks(total: int, block: int) -> list[tuple[int, int]]:
 
 
 # ---------------------------------------------------------------------------
-# Block-grid geometry for the block-tiled wavefront engines
+# Block-grid geometry for the block-tiled wavefront executor
 # ---------------------------------------------------------------------------
 #
-# The block-tiled engines (:mod:`repro.parallel.blocks`, the refactored
-# pool and thread engines) retile the DP cube into genuine 3-D blocks:
+# The block-tiled executor (:class:`repro.parallel.executor.WavefrontPool`,
+# also behind :mod:`repro.parallel.blocks`) tiles the DP cube into
+# genuine 3-D blocks:
 # a fixed contiguous *row slab* per worker crossed with *plane bands*
 # (runs of consecutive anti-diagonal planes). Each block is the cube
 # region ``{(i, j, k) : i in slab, i + j + k in band}`` — bounded by two
@@ -91,8 +92,8 @@ def active_workers(dims: tuple[int, int, int], workers: int) -> int:
 
     ``split_range`` pads with empty ``(x, x-1)`` chunks when a plane has
     fewer rows than workers; a worker beyond :func:`max_plane_rows` gets
-    an empty chunk on *every* plane and would only pay barrier + IPC
-    cost. Engines clamp their worker count to this.
+    an empty chunk on *every* plane and would only pay synchronisation
+    cost.
     """
     check_positive("workers", workers)
     return max(1, min(workers, max_plane_rows(dims)))

@@ -8,9 +8,9 @@ Four cooperating pieces (see ``docs/robustness.md``):
     ``REPRO_FAULTS`` environment variable or the ``--inject-fault`` CLI
     flag so chaos runs are reproducible.
 :mod:`repro.resilience.supervise`
-    Worker supervision for the plane-barrier engines: heartbeat slots,
-    barrier waits with timeouts, dead-worker detection, and recovery by
-    respawning the worker and replaying the current plane.
+    The supervision policy (timeouts, respawn cap) and the pool's
+    job-start waits; mid-sweep detection and block-granular respawn live
+    with the counter protocol in :mod:`repro.parallel.blockwave`.
 :mod:`repro.resilience.retry`
     Bounded retry-with-backoff queue receives and payload checksums for
     the message-passing runtime (:mod:`repro.cluster.mpirun`).
@@ -21,8 +21,8 @@ Four cooperating pieces (see ``docs/robustness.md``):
 
 Every recovery path preserves bit-identical output with the serial
 engine: the wavefront only needs planes ``d-1..d-3``, which survive a
-worker death in the shared buffers, so replaying plane ``d`` is
-idempotent.
+worker death in the shared buffers, so replaying from a worker's last
+published plane is idempotent.
 """
 
 from __future__ import annotations

@@ -7,7 +7,7 @@ walks a degradation ladder instead::
 
     dp3d ──────────────┐
     wavefront/pruned ──┼──>  hirschberg  (divide & conquer, O(n^2))
-    shared/threads ────┤
+    blocks ────────────┤
     banded ────────────┘
 
 Each rung preserves exactness: Hirschberg's divide-and-conquer returns
@@ -40,9 +40,7 @@ LADDER = {
     "wavefront": "hirschberg",
     "pruned": "hirschberg",
     "banded": "hirschberg",
-    "shared": "hirschberg",
     "blocks": "hirschberg",
-    "threads": "hirschberg",
     "hirschberg": None,
 }
 
@@ -116,7 +114,7 @@ def estimate_bytes(
     if method == "dp3d":
         # float64 DP cube, plus the int8 move cube for traceback.
         return cube * 8 + (0 if score_only else cube)
-    if method in ("wavefront", "shared", "threads"):
+    if method == "wavefront":
         return planes + (0 if score_only else cube)
     if method == "blocks":
         # Block-tiled engines stream through a deeper rotating plane

@@ -17,8 +17,8 @@ and keys ``engine``, ``worker``, ``rank``, ``plane``, ``block``,
 ``delay`` (seconds), ``budget`` (bytes), ``seed``, ``times``. Multiple
 specs are separated by ``;``. Examples::
 
-    worker_crash@pool:worker=1,plane=25
-    straggler@shared:worker=1,delay=0.2
+    worker_crash@blocks:worker=1,plane=25
+    straggler@blocks:worker=1,delay=0.2
     corrupt_ghost:rank=1
     oom:budget=200000
 

@@ -6,7 +6,7 @@ one lucky committed snapshot. These helpers give
 ``tools/check_perf.py --trajectory`` (and the trend renderer) the
 pieces:
 
-* :func:`kernel_metrics` — flatten a ``bench-kernel/2`` benchmark
+* :func:`kernel_metrics` — flatten a ``bench-kernel/3`` benchmark
   document into the flat metric payload a run row carries;
 * :func:`seed_from_baseline` — migrate the committed
   ``BENCH_kernel.json`` snapshot into an empty store as the first
@@ -32,7 +32,7 @@ from repro.runs.store import RunStore
 KERNEL_KIND = "bench_kernel"
 
 #: Schema tag of the committed kernel baseline document.
-KERNEL_BASELINE_SCHEMA = "bench-kernel/2"
+KERNEL_BASELINE_SCHEMA = "bench-kernel/3"
 
 
 def default_baseline_path() -> pathlib.Path:
@@ -43,7 +43,7 @@ def default_baseline_path() -> pathlib.Path:
 
 
 def kernel_metrics(doc: Mapping[str, Any]) -> dict[str, float]:
-    """Flatten a ``bench-kernel/2`` result document into run-row metrics."""
+    """Flatten a ``bench-kernel/3`` result document into run-row metrics."""
     small, large = doc["small_repeated"], doc["large_sweep"]
     metrics = {
         "small_speedup": float(small["speedup"]),
@@ -63,10 +63,13 @@ def kernel_metrics(doc: Mapping[str, Any]) -> dict[str, float]:
     if high:
         metrics["pruned_speedup"] = float(high["speedup"])
         metrics["pruned_kept_fraction"] = float(high["kept_fraction"])
-    # Likewise for documents predating the block-tiled scaling curve.
+    # Since bench-kernel/3 the scaling section times blocks against the
+    # serial sweep. Older sections compared blocks with a per-plane-
+    # barrier engine; a fresh key keeps those ratios out of this
+    # metric's rolling median.
     scaling = doc.get("scaling")
-    if scaling:
-        metrics["scaling_speedup"] = float(scaling["speedup"])
+    if scaling and "serial_seconds" in scaling:
+        metrics["blocks_speedup_vs_serial"] = float(scaling["speedup"])
     anchored = doc.get("long_anchored")
     if anchored:
         metrics["anchored_seconds"] = float(anchored["seconds"])

@@ -9,8 +9,9 @@ its routes and lifecycle hooks:
 
 * socket bind/accept with per-connection tasks and keep-alive loops;
 * uniform exception→status mapping around a ``_dispatch`` coroutine;
-* graceful drain: stop accepting, run the service's flush hooks, give
-  in-flight responses a bounded grace period, then cancel stragglers;
+* graceful drain: stop accepting, run the service's flush hooks, close
+  idle keep-alive connections, give in-flight responses a bounded grace
+  period, then cancel stragglers;
 * the signal-driven ``request_drain``/``serve_until_drained`` pattern
   and the ``# <banner> HOST:PORT`` stderr line the tooling scrapes.
 
@@ -61,6 +62,10 @@ class JsonHttpServer:
         self.port: int | None = None
         self._server: asyncio.Server | None = None
         self._conn_tasks: set[asyncio.Task] = set()
+        # Connection tasks waiting for their next request (no request in
+        # flight): drain closes these at once instead of waiting out the
+        # keep-alive read timeout.
+        self._idle_tasks: set[asyncio.Task] = set()
         self._drain_requested: asyncio.Event | None = None
         self._loop: asyncio.AbstractEventLoop | None = None
         self._started_at = 0.0
@@ -116,6 +121,8 @@ class JsonHttpServer:
             self._server.close()
             await self._server.wait_closed()
         await self._on_listener_closed()
+        for task in list(self._idle_tasks):
+            task.cancel()
         # In-flight handlers now hold their results; give them until the
         # drain timeout to write responses and hang up.
         deadline = time.monotonic() + self.drain_timeout_s
@@ -169,7 +176,9 @@ class JsonHttpServer:
     async def _serve_connection(
         self, reader: asyncio.StreamReader, writer: asyncio.StreamWriter
     ) -> None:
+        task = asyncio.current_task()
         while True:
+            self._idle_tasks.add(task)
             try:
                 request = await asyncio.wait_for(
                     protocol.read_request(
@@ -195,13 +204,17 @@ class JsonHttpServer:
                 ))
                 await writer.drain()
                 return
+            finally:
+                self._idle_tasks.discard(task)
             if request is None:
                 return
             keep_alive = not request.wants_close and not self.draining
             body = await self._respond(request, keep_alive)
             writer.write(body)
             await writer.drain()
-            if not keep_alive:
+            # A drain that began mid-request has already closed the idle
+            # connections; this one must not go idle after it.
+            if not keep_alive or self.draining:
                 return
 
     async def _respond(

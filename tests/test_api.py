@@ -1,25 +1,50 @@
 """Unit tests for the align3 front door (repro.core.api)."""
 
+from concurrent.futures import ThreadPoolExecutor
+
 import pytest
 
 import repro
 from repro.core.api import AVAILABLE_METHODS, align3, align3_score
 from repro.core.dp3d import score3_dp3d
+from repro.parallel.executor import WavefrontPool
+
+#: Executor paths checked alongside align3's methods: ``"shared"`` is a
+#: persistent shared-memory :class:`WavefrontPool`, ``"threads"`` is
+#: ``align3(method="blocks")`` called from a worker thread, the way the
+#: serve batcher's thread pool runs it.
+EXECUTOR_PATHS = ("shared", "threads")
+
+
+def _align_on(path, seqs, scheme):
+    """Align ``seqs`` with an align3 method or an executor path."""
+    if path == "shared":
+        with WavefrontPool(tuple(len(s) for s in seqs), workers=2) as pool:
+            return pool.align3(*seqs, scheme)
+    if path == "threads":
+        with ThreadPoolExecutor(max_workers=1) as ex:
+            return ex.submit(align3, *seqs, scheme, method="blocks").result()
+    return align3(*seqs, scheme, method=path)
 
 
 class TestDispatch:
     @pytest.mark.parametrize(
         "method",
-        ["dp3d", "wavefront", "hirschberg", "pruned", "banded", "shared",
-         "threads"],
+        ["dp3d", "wavefront", "hirschberg", "pruned", "banded", "blocks",
+         *EXECUTOR_PATHS],
     )
     def test_all_linear_methods_agree(self, method, dna_scheme, family_small):
         expected = score3_dp3d(*family_small, dna_scheme)
-        aln = align3(*family_small, dna_scheme, method=method)
+        aln = _align_on(method, family_small, dna_scheme)
         assert aln.score == pytest.approx(expected), method
         assert dna_scheme.sp_score(aln.rows) == pytest.approx(expected)
-        assert aln.meta["method"] == method
-        assert "wall_time_s" in aln.meta
+        if method == "shared":
+            assert aln.meta["engine"] == "pool"
+        else:
+            assert aln.meta["method"] == {"threads": "blocks"}.get(
+                method, method
+            )
+            assert "wall_time_s" in aln.meta
 
     def test_auto_small_is_wavefront(self, dna_scheme):
         aln = align3("GATTACA", "GATCA", "GTT", dna_scheme)
@@ -36,6 +61,15 @@ class TestDispatch:
     def test_unknown_method_rejected(self, dna_scheme):
         with pytest.raises(ValueError, match="unknown method"):
             align3("A", "A", "A", dna_scheme, method="magic")
+
+    @pytest.mark.parametrize("removed", ["shared", "threads"])
+    def test_removed_methods_rejected(self, removed, dna_scheme):
+        # The per-plane-barrier and thread engines were folded into the
+        # block-tiled pool; their names fail like any unknown method.
+        assert removed not in AVAILABLE_METHODS
+        with pytest.raises(ValueError, match="unknown method") as excinfo:
+            align3("A", "A", "A", dna_scheme, method=removed)
+        assert str(AVAILABLE_METHODS) in str(excinfo.value)
 
     def test_pruned_records_stats(self, dna_scheme, family_small):
         aln = align3(*family_small, dna_scheme, method="pruned")
@@ -113,7 +147,8 @@ def _scheme_for(method, dna_scheme, affine_dna_scheme):
 
 
 class TestDegenerateInputs:
-    """Empty and single-character sequences through every engine."""
+    """Empty and single-character sequences through every engine and
+    executor path."""
 
     CASES = [
         ("", "AC", "GT"),
@@ -122,7 +157,7 @@ class TestDegenerateInputs:
         ("A", "C", "G"),
     ]
 
-    @pytest.mark.parametrize("method", AVAILABLE_METHODS)
+    @pytest.mark.parametrize("method", AVAILABLE_METHODS + EXECUTOR_PATHS)
     @pytest.mark.parametrize("seqs", CASES, ids=lambda s: "/".join(s) or "empty")
     def test_engines_agree_with_reference(
         self, method, seqs, dna_scheme, affine_dna_scheme
@@ -134,7 +169,7 @@ class TestDegenerateInputs:
             expected = score3_affine(*seqs, scheme)
         else:
             expected = score3_dp3d(*seqs, scheme)
-        aln = align3(*seqs, scheme, method=method)
+        aln = _align_on(method, seqs, scheme)
         assert aln.score == pytest.approx(expected), (method, seqs)
         if method != "affine":  # sp_score implements the linear gap model
             assert scheme.sp_score(aln.rows) == pytest.approx(expected)

@@ -189,6 +189,12 @@ class TestScheduling:
             run_batch([AlignmentRequest(seqs=T1, mode="sideways")], workers=1)
         with pytest.raises(ValueError, match="unknown method"):
             run_batch([AlignmentRequest(seqs=T1, method="magic")], workers=1)
+        # Engines folded into the block-tiled pool are unknown names now.
+        for removed in ("shared", "threads"):
+            with pytest.raises(ValueError, match=f"unknown method '{removed}'"):
+                run_batch(
+                    [AlignmentRequest(seqs=T1, method=removed)], workers=1
+                )
         with pytest.raises(ValueError, match="single engine"):
             run_batch(
                 [AlignmentRequest(seqs=T1, mode="local", method="dp3d")],

@@ -7,6 +7,7 @@ import asyncio
 import queue
 import socket
 import threading
+import time
 
 import pytest
 
@@ -179,6 +180,19 @@ class TestResultCacheRemoteTier:
             again = reader.get(key)
             assert again is not None
             assert reader.stats.memory_hits == 1
+
+    def test_drain_closes_idle_keepalive_connections(self):
+        # An idle keep-alive client must not hold drain for the
+        # keep-alive read timeout (5 s by default): idle connections
+        # close at once, only in-flight requests are waited on.
+        key, aln = _key_and_alignment()
+        srv = CacheServerThread()
+        remote = RemoteCacheClient("127.0.0.1", srv.port)
+        assert remote.put_payload(key, encode_alignment(aln))
+        assert remote.get_payload(key) is not None  # connection now idle
+        t0 = time.perf_counter()
+        srv.__exit__(None, None, None)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_dead_remote_degrades_to_local_only(self):
         key, aln = _key_and_alignment()

@@ -44,6 +44,15 @@ class TestAlign:
         assert main(["align", path, "--method", "hirschberg"]) == 0
         assert "engine=hirschberg" in capsys.readouterr().err
 
+    def test_removed_method_exits_2(self, fasta3, capsys):
+        from repro.core.api import AVAILABLE_METHODS
+
+        path, _fam = fasta3
+        assert main(["align", path, "--method", "threads"]) == 2
+        err = capsys.readouterr().err
+        assert "unknown method 'threads'" in err
+        assert str(AVAILABLE_METHODS) in err
+
     def test_affine_via_gap_open(self, fasta3, capsys):
         path, _fam = fasta3
         assert main(

@@ -1,7 +1,7 @@
 """Tests for the block-tiled multiprocess wavefront engine
-(repro.parallel.blocks): bit-identity against the serial oracle across
-worker counts and band depths, pruning-tube composition, degenerate
-shapes and validation."""
+(repro.parallel.blocks, a one-call WavefrontPool): bit-identity against
+the serial oracle across worker counts and band depths, pruning-tube
+composition, degenerate shapes and validation."""
 
 import numpy as np
 import pytest
@@ -11,7 +11,7 @@ from repro.core.dp3d import align3_dp3d, score3_dp3d
 from repro.core.scoring import ScoringScheme
 from repro.core.wavefront import align3_wavefront, wavefront_sweep
 from repro.parallel.blocks import align3_blocks, score3_blocks
-from repro.parallel.shared import fork_available
+from repro.parallel.executor import fork_available
 from repro.seqio.alphabet import DNA
 
 needs_fork = pytest.mark.skipif(
@@ -21,11 +21,26 @@ needs_fork = pytest.mark.skipif(
 
 class TestScoreIdentity:
     @needs_fork
-    @pytest.mark.parametrize("workers", [2, 3, 5])
+    @pytest.mark.parametrize("workers", [2, 3, 4, 5])
     def test_matches_dp3d(self, dna_scheme, family_small, workers):
         ref = score3_dp3d(*family_small, dna_scheme)
         got = score3_blocks(*family_small, dna_scheme, workers=workers)
         assert got == ref  # bit-identical, not approx
+        sweep = wavefront_sweep(*family_small, dna_scheme, score_only=True)
+        meta = align3_blocks(*family_small, dna_scheme, workers=workers).meta
+        assert meta["active_workers"] == workers
+        assert meta["cells"] == sweep.cells_computed
+
+    @needs_fork
+    def test_matches_reference_small(self, dna_scheme, small_triples):
+        for triple in small_triples:
+            got = score3_blocks(*triple, dna_scheme, workers=2)
+            assert got == score3_dp3d(*triple, dna_scheme), triple
+
+    @needs_fork
+    def test_matches_reference_medium(self, dna_scheme, family_medium):
+        got = score3_blocks(*family_medium, dna_scheme, workers=2)
+        assert got == score3_dp3d(*family_medium, dna_scheme)
 
     @needs_fork
     def test_more_workers_than_rows(self, dna_scheme, family_small):
@@ -80,6 +95,38 @@ class TestAlignmentIdentity:
         a = align3_blocks(*family_small, dna_scheme, workers=4)
         b = align3_blocks(*family_small, dna_scheme, workers=4)
         assert a.rows == b.rows and a.score == b.score
+
+    @needs_fork
+    @pytest.mark.parametrize("band", [1, 2, 7])
+    @pytest.mark.parametrize("pruned", [False, True], ids=["cube", "tube"])
+    def test_rows_score_cells_match_sweep_at_band(
+        self, dna_scheme, family_medium, band, pruned
+    ):
+        tube = (
+            carrillo_lipman_tube(*family_medium, dna_scheme)[0]
+            if pruned else None
+        )
+        ref = wavefront_sweep(*family_medium, dna_scheme, tube=tube)
+        ref_aln = align3_wavefront(*family_medium, dna_scheme, tube=tube)
+        aln = align3_blocks(
+            *family_medium, dna_scheme, workers=3, band=band, tube=tube
+        )
+        assert aln.rows == ref_aln.rows
+        assert aln.score == ref.score
+        assert aln.meta["cells"] == ref.cells_computed
+        assert aln.meta["band"] <= band
+
+    @needs_fork
+    @pytest.mark.parametrize(
+        "seqs", [("", "", ""), ("ACGT", "", ""), ("", "AC", "GT")],
+        ids=["all-empty", "one-nonempty", "first-empty"],
+    )
+    def test_empty_inputs(self, dna_scheme, seqs):
+        ref = align3_wavefront(*seqs, dna_scheme)
+        aln = align3_blocks(*seqs, dna_scheme, workers=2)
+        assert aln.rows == ref.rows and aln.score == ref.score
+        assert aln.sequences() == seqs
+        assert score3_blocks(*seqs, dna_scheme, workers=3) == ref.score
 
 
 class TestTubeComposition:
@@ -162,8 +209,5 @@ class TestValidationAndMeta:
 
 
 def _sweep_meta(sa, sb, sc, scheme, workers, tube=None):
-    from repro.parallel.blocks import _blocks_sweep
-
-    return _blocks_sweep(
-        sa, sb, sc, scheme, workers, score_only=tube is None, tube=tube
-    )
+    aln = align3_blocks(sa, sb, sc, scheme, workers=workers, tube=tube)
+    return aln.score, None, aln.meta

@@ -9,7 +9,7 @@ from repro.core.hirschberg import align3_hirschberg
 from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
 from repro.core.wavefront import align3_wavefront, score3_wavefront
-from repro.parallel.threads import score3_threads
+from repro.parallel.blocks import score3_blocks
 from repro.seqio.alphabet import DNA
 from tests.reference.bruteforce import memo_optimal_score
 
@@ -35,7 +35,7 @@ def test_all_engines_agree(seqs):
     ref = score3_dp3d(*seqs, SCHEME)
     assert abs(score3_wavefront(*seqs, SCHEME) - ref) < 1e-9
     assert abs(score3_slab(*seqs, SCHEME) - ref) < 1e-9
-    assert abs(score3_threads(*seqs, SCHEME, workers=2) - ref) < 1e-9
+    assert abs(score3_blocks(*seqs, SCHEME, workers=2) - ref) < 1e-9
     assert abs(align3_hirschberg(*seqs, SCHEME, base_cells=30).score - ref) < 1e-9
 
 

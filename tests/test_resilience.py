@@ -10,7 +10,7 @@ import pytest
 from repro.core.api import align3
 from repro.core.dp3d import align3_dp3d, score3_dp3d
 from repro.parallel.executor import WavefrontPool
-from repro.parallel.shared import align3_shared, fork_available
+from repro.parallel.executor import fork_available
 from repro.resilience import faults
 from repro.resilience.degrade import (
     DegradePlan,
@@ -48,9 +48,9 @@ def _clean_faults():
 
 class TestFaultSpecs:
     def test_parse_full_spec(self):
-        spec = faults.parse_spec("worker_crash@pool:worker=1,plane=25")
+        spec = faults.parse_spec("worker_crash@blocks:worker=1,plane=25")
         assert spec.kind == "worker_crash"
-        assert spec.engine == "pool"
+        assert spec.engine == "blocks"
         assert spec.worker == 1 and spec.plane == 25
         assert spec.times == 1 and spec.armed
 
@@ -60,7 +60,7 @@ class TestFaultSpecs:
         assert spec.times == -1  # budget is read repeatedly
 
     def test_roundtrip_spec_string(self):
-        text = "straggler@shared:worker=1,plane=7,delay=0.2"
+        text = "straggler@blocks:worker=1,plane=7,delay=0.2"
         spec = faults.parse_spec(text)
         assert faults.parse_spec(spec.spec_string()) == spec
 
@@ -81,7 +81,7 @@ class TestFaultSpecs:
             faults.parse_spec(bad)
 
     def test_install_is_additive_and_clear_disarms(self):
-        faults.install("worker_crash@pool:worker=1;oom:budget=1")
+        faults.install("worker_crash@blocks:worker=1;oom:budget=1")
         assert faults.enabled and len(faults.active_specs()) == 2
         faults.clear()
         assert not faults.enabled and not faults.active_specs()
@@ -147,7 +147,7 @@ class TestPoolRecovery:
     def test_crash_recovers_bit_identical(self, dna_scheme, family_small):
         ref = align3_dp3d(*family_small, dna_scheme)
         dmax = sum(len(s) for s in family_small)
-        faults.install(f"worker_crash@pool:worker=1,plane={dmax // 2}")
+        faults.install(f"worker_crash@blocks:worker=1,plane={dmax // 2}")
         with WavefrontPool((25, 25, 25), workers=2) as pool:
             aln = pool.align3(*family_small, dna_scheme)
             assert aln.rows == ref.rows and aln.score == ref.score
@@ -176,6 +176,22 @@ class TestPoolRecovery:
                 shared_memory.SharedMemory(name=name)
 
     @needs_fork
+    def test_respawn_cap_raises_typed_failure(
+        self, dna_scheme, family_small
+    ):
+        # A crash past max_respawns must turn the stall into a typed
+        # WorkerFailure carrying the failure log, not wedge the pool.
+        from repro.resilience.supervise import SupervisionPolicy
+
+        faults.install("worker_crash@blocks:worker=1,plane=5")
+        policy = SupervisionPolicy(barrier_timeout=0.05, max_respawns=0)
+        with WavefrontPool((25, 25, 25), workers=2, policy=policy) as pool:
+            with pytest.raises(WorkerFailure) as excinfo:
+                pool.align3(*family_small, dna_scheme)
+        assert excinfo.value.failures[0].engine == "blocks"
+        assert not excinfo.value.failures[0].respawned
+
+    @needs_fork
     def test_unsupervised_pool_still_works(self, dna_scheme, family_small):
         with WavefrontPool((25, 25, 25), workers=2, supervise=False) as pool:
             aln = pool.align3(*family_small, dna_scheme)
@@ -187,20 +203,36 @@ class TestPoolRecovery:
 
 @pytest.mark.chaos
 class TestSharedRecovery:
+    """Recovery inside a persistent pool, whose shared buffers are
+    restaged for every job it runs."""
+
     @needs_fork
     def test_crash_recovers_bit_identical(self, dna_scheme, family_small):
-        ref = align3_dp3d(*family_small, dna_scheme)
+        # A worker dies mid-way through a tube-pruned job: its
+        # replacement replays the windows staged for that job, and the
+        # pool stays usable for the next (untubed) job.
+        from repro.core.bounds import carrillo_lipman_tube
+        from repro.core.wavefront import align3_wavefront
+
+        tube, _stats = carrillo_lipman_tube(*family_small, dna_scheme)
+        ref = align3_wavefront(*family_small, dna_scheme, tube=tube)
         dmax = sum(len(s) for s in family_small)
-        faults.install(f"worker_crash@shared:worker=1,plane={dmax // 2}")
-        aln = align3_shared(*family_small, dna_scheme, workers=2)
-        assert aln.rows == ref.rows and aln.score == ref.score
-        assert aln.meta["recoveries"] >= 1
+        faults.install(f"worker_crash@blocks:worker=1,plane={dmax // 2}")
+        with WavefrontPool((25, 25, 25), workers=2) as pool:
+            aln = pool.align3(*family_small, dna_scheme, tube=tube)
+            assert aln.rows == ref.rows and aln.score == ref.score
+            assert aln.meta["cells"] == ref.meta["cells"]
+            assert aln.meta["recoveries"] >= 1
+            again = pool.align3(*family_small, dna_scheme)
+        full = align3_dp3d(*family_small, dna_scheme)
+        assert again.rows == full.rows and again.score == full.score
 
     @needs_fork
     def test_straggler_is_tolerated(self, dna_scheme, family_small):
         ref = align3_dp3d(*family_small, dna_scheme)
-        faults.install("straggler@shared:worker=1,delay=0.1,plane=10")
-        aln = align3_shared(*family_small, dna_scheme, workers=2)
+        faults.install("straggler@blocks:worker=1,delay=0.1,plane=10")
+        with WavefrontPool((25, 25, 25), workers=2) as pool:
+            aln = pool.align3(*family_small, dna_scheme)
         assert aln.rows == ref.rows and aln.score == ref.score
 
 
@@ -248,18 +280,6 @@ class TestBlocksRecovery:
         faults.install("straggler@blocks:worker=1,delay=0.1,plane=10")
         aln = align3_blocks(*family_small, dna_scheme, workers=2)
         assert aln.rows == ref.rows and aln.score == ref.score
-
-
-@pytest.mark.chaos
-class TestThreadsFailFast:
-    def test_injected_crash_raises_typed_failure(
-        self, dna_scheme, family_small
-    ):
-        faults.install("worker_crash@threads:worker=1,plane=5")
-        with pytest.raises(WorkerFailure) as excinfo:
-            align3(*family_small, dna_scheme, method="threads")
-        assert excinfo.value.failures
-        assert excinfo.value.failures[0].engine == "threads"
 
 
 @pytest.mark.chaos
@@ -368,16 +388,22 @@ class TestCliExitCodes:
         assert rc == 4
         assert "--no-degrade" in capsys.readouterr().err
 
-    @pytest.mark.chaos
-    def test_worker_failure_exits_3(self, tmp_path, capsys):
+    def test_worker_failure_exits_3(self, tmp_path, capsys, monkeypatch):
+        import repro.parallel.blocks as blocks
         from repro.cli import main
+        from repro.resilience.errors import FailureRecord
 
+        def exhausted(*args, **kwargs):
+            record = FailureRecord(
+                engine="blocks", worker=1, plane=3,
+                reason="worker process died (exitcode 13)",
+                exitcode=13, respawned=False,
+            )
+            raise WorkerFailure("blocks worker 1 failed 4 times", [record])
+
+        monkeypatch.setattr(blocks, "align3_blocks", exhausted)
         rc = main(
-            [
-                "align", self._fasta(tmp_path),
-                "--method", "threads",
-                "--inject-fault", "worker_crash@threads:worker=1,plane=3",
-            ]
+            ["align", self._fasta(tmp_path), "--method", "blocks"]
         )
         assert rc == 3
         assert "worker failure" in capsys.readouterr().err

@@ -432,6 +432,20 @@ class TestAlignServer:
             resp = client._request("POST", "/v1/align", {"nope": 1})
             assert resp.status == 400
 
+    def test_removed_method_names_get_400(self):
+        from repro.core.api import AVAILABLE_METHODS
+
+        with ServerThread() as srv, ServeClient(
+            "127.0.0.1", srv.port
+        ) as client:
+            resp = client._request(
+                "POST", "/v1/align",
+                {"seqs": list(TRIPLE), "method": "shared"},
+            )
+            assert resp.status == 400
+            assert "unknown method 'shared'" in resp.body["error"]["message"]
+            assert str(AVAILABLE_METHODS) in resp.body["error"]["message"]
+
     def test_unknown_route_404_and_bad_method_405(self):
         with ServerThread() as srv, ServeClient(
             "127.0.0.1", srv.port

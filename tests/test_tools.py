@@ -73,6 +73,38 @@ class TestCheckPerfGate:
         assert rc == 1
         assert "no scaling section" in out
 
+    def test_single_core_box_fails_with_reason(
+        self, cp, tmp_path, monkeypatch, capsys
+    ):
+        # Blocks cannot beat the serial sweep on one core; the gate must
+        # say why instead of passing (or failing on a bare ratio).
+        doc = json.loads((ROOT / "BENCH_kernel.json").read_text())
+        doc["scaling"]["usable_cores"] = 1
+        monkeypatch.setattr(
+            cp.bench_kernel, "run", lambda config: copy.deepcopy(doc)
+        )
+        rc = cp.main(
+            ["--no-record", "--runs-file", str(tmp_path / "RUNS.jsonl")]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "only 1 usable core(s)" in out
+
+    def test_measured_scaling_below_floor_fails(
+        self, cp, tmp_path, monkeypatch, capsys
+    ):
+        doc = json.loads((ROOT / "BENCH_kernel.json").read_text())
+        doc["scaling"]["speedup"] = cp.SCALING_SPEEDUP_FLOOR - 0.05
+        monkeypatch.setattr(
+            cp.bench_kernel, "run", lambda config: copy.deepcopy(doc)
+        )
+        rc = cp.main(
+            ["--no-record", "--runs-file", str(tmp_path / "RUNS.jsonl")]
+        )
+        out = capsys.readouterr().out
+        assert rc == 1
+        assert "below the 1.2x floor" in out
+
     def test_missing_baseline_is_a_hard_error_even_with_trajectory(
         self, cp, tmp_path, monkeypatch, capsys
     ):
@@ -111,7 +143,7 @@ class TestCheckPerfGate:
 
         rows = RunStore(runs).records(kind="bench_kernel")
         assert len(rows) == 1
-        assert rows[0].metric("scaling_speedup") > 0
+        assert rows[0].metric("blocks_speedup_vs_serial") > 0
 
 
 def test_generator_runs_and_covers_subpackages(tmp_path):

@@ -4,8 +4,11 @@
 Runs a ~40^3 alignment under each injected fault class and asserts the
 recovery contract from ``docs/robustness.md``:
 
-* ``pool``/``shared`` worker crash -> the worker is respawned, the plane
-  replayed, and the output is **bit-identical** to the serial engine;
+* a worker crash in the block-tiled executor (a persistent
+  ``WavefrontPool`` and a one-call ``blocks`` run with a pruning tube)
+  -> the worker is respawned at its published counter, its blocks
+  replayed, and the output is **bit-identical** to the serial engine
+  (the tube run to the serial tube-pruned sweep);
 * a straggler is tolerated (or killed and replayed) without changing
   the output;
 * a corrupted ghost payload in ``mpirun`` is caught by the CRC32
@@ -17,7 +20,7 @@ recovery contract from ``docs/robustness.md``:
 * supervision overhead on the fault-free path stays within
   ``--tolerance`` (default 10%).
 
-Every barrier/queue wait in the engines is bounded, so the whole suite
+Every barrier/counter/queue wait in the engines is bounded, so the whole suite
 must finish inside ``--budget`` wall-clock seconds — exceeding it is
 itself a failure (it means something waited unsupervised).
 
@@ -89,9 +92,11 @@ def main(argv: list[str] | None = None) -> int:
 
     from repro.cluster.mpirun import run_distributed
     from repro.core.api import align3
+    from repro.core.bounds import carrillo_lipman_tube
     from repro.core.scoring import default_scheme_for
+    from repro.core.wavefront import align3_wavefront
+    from repro.parallel.blocks import align3_blocks
     from repro.parallel.executor import WavefrontPool
-    from repro.parallel.shared import align3_shared
     from repro.resilience import faults
     from repro.resilience.errors import WorkerFailure
     from repro.seqio.alphabet import DNA
@@ -125,7 +130,7 @@ def main(argv: list[str] | None = None) -> int:
     print(f"chaos: n={args.n} (planes 0..{dmax}), reference score {ref.score:g}")
 
     def pool_crash() -> None:
-        faults.install(f"worker_crash@pool:worker=1,plane={mid}")
+        faults.install(f"worker_crash@blocks:worker=1,plane={mid}")
         with WavefrontPool((args.n + 5,) * 3, workers=2) as pool:
             aln = pool.align3(*seqs, scheme)
             assert aln.rows == ref.rows and aln.score == ref.score, (
@@ -133,17 +138,19 @@ def main(argv: list[str] | None = None) -> int:
             )
             assert aln.meta["recoveries"] >= 1, "no recovery recorded"
 
-    def shared_crash() -> None:
-        faults.install(f"worker_crash@shared:worker=1,plane={mid}")
-        aln = align3_shared(*seqs, scheme, workers=2)
-        assert aln.rows == ref.rows and aln.score == ref.score, (
-            "output differs after recovery"
+    def blocks_tube_crash() -> None:
+        tube, _stats = carrillo_lipman_tube(*seqs, scheme)
+        tube_ref = align3_wavefront(*seqs, scheme, tube=tube)
+        faults.install(f"worker_crash@blocks:worker=1,plane={mid}")
+        aln = align3_blocks(*seqs, scheme, workers=2, tube=tube)
+        assert aln.rows == tube_ref.rows and aln.score == tube_ref.score, (
+            "output differs from the serial tube sweep after recovery"
         )
-        assert aln.meta.get("recoveries", 0) >= 1, "no recovery recorded"
+        assert aln.meta["recoveries"] >= 1, "no recovery recorded"
 
-    def shared_straggler() -> None:
-        faults.install(f"straggler@shared:worker=1,delay=0.2,plane={mid}")
-        aln = align3_shared(*seqs, scheme, workers=2)
+    def blocks_straggler() -> None:
+        faults.install(f"straggler@blocks:worker=1,delay=0.2,plane={mid}")
+        aln = align3_blocks(*seqs, scheme, workers=2)
         assert aln.rows == ref.rows and aln.score == ref.score, (
             "output differs under a straggler"
         )
@@ -176,9 +183,12 @@ def main(argv: list[str] | None = None) -> int:
         assert aln.score == ref.score, "degraded run lost optimality"
         assert "degraded_from" in aln.meta, "run did not degrade"
 
-    scenario("pool worker_crash -> respawn + plane replay", pool_crash)
-    scenario("shared worker_crash -> respawn + plane replay", shared_crash)
-    scenario("shared straggler tolerated", shared_straggler)
+    scenario("pool worker_crash -> respawn + block replay", pool_crash)
+    scenario(
+        "blocks worker_crash with tube -> replay, bit-identical",
+        blocks_tube_crash,
+    )
+    scenario("blocks straggler tolerated", blocks_straggler)
     scenario("mpirun corrupt_ghost -> checksum + resend", mpirun_corrupt)
     scenario("mpirun rank death -> typed WorkerFailure", mpirun_rank_death)
     scenario("oom -> degradation ladder, optimal score", oom_degrade)
