@@ -2,17 +2,15 @@
 
 The throughput layer: :class:`BatchScheduler` serves many alignment
 requests at once — deduplicating identical and permutation-equivalent
-requests through :mod:`repro.cache`, grouping the remaining misses by
-cube shape, and executing them over one long-lived
-:class:`~repro.parallel.executor.WavefrontPool` instead of spawning
-workers per call. ``repro batch`` is the CLI front end; see
-``docs/batching.md`` and ``tools/check_batch.py`` (the throughput gate).
+requests through :mod:`repro.cache`, then running each remaining miss
+whole on one of a set of long-lived forked job workers
+(:mod:`repro.batch.jobs`), or inline for a lone miss. ``repro batch``
+is the CLI front end; see ``docs/batching.md`` and
+``tools/check_batch.py`` (the throughput gate).
 """
 
 from repro.batch.scheduler import (
-    DEFAULT_MAX_POOL_CELLS,
     PERM_PREFIX,
-    POOL_METHODS,
     AlignmentRequest,
     BatchReport,
     BatchScheduler,
@@ -27,9 +25,7 @@ from repro.batch.io import (
 )
 
 __all__ = [
-    "DEFAULT_MAX_POOL_CELLS",
     "PERM_PREFIX",
-    "POOL_METHODS",
     "AlignmentRequest",
     "BatchReport",
     "BatchScheduler",

@@ -16,28 +16,30 @@ serves it in stages, cheapest first:
    order by permuting rows: score-identical by the symmetry of SP
    scoring, though tie-breaking means the rows may legitimately differ
    from a cold compute (marked ``meta["permuted_from"]``).
-3. **Grouped compute** — true misses are grouped by cube shape and run
-   largest-first over one long-lived :class:`WavefrontPool` sized to the
-   batch (pool-eligible jobs: global mode, linear scheme, *resolved*
-   wavefront-class method), so worker spawn is paid once per pool
-   lifetime instead of once per request. Everything else — affine
-   schemes, explicit serial engines, local/semiglobal modes, and
-   requests the similarity cost model routes to ``pruned``/``banded``/
-   ``hirschberg`` — dispatches to the matching engine per request.
-   Results are cached under both keys for the next batch.
+3. **Job-level compute** — true misses run cheapest cube first (ties
+   in request order), each on the engine ``auto`` resolved to once, up
+   front. With two or more misses and ``workers >= 2`` every *whole*
+   request goes to a set of long-lived forked job processes
+   (:class:`~repro.batch.jobs.JobWorkers`), one job at a time per
+   worker; a lone miss, or ``workers=1``, runs in the calling process
+   with no IPC. Results are cached under both keys for the next batch
+   and emitted as each job completes.
 
-The pool outlives ``run()``: a :class:`BatchScheduler` reuses its workers
-across batches (growing capacity on demand) until :meth:`close`.
+The job workers outlive ``run()``: a :class:`BatchScheduler` spawns them
+on its first fanned-out batch and reuses them until :meth:`close`.
 Metrics land in :mod:`repro.obs` — cache hit/miss counters, a
-per-request latency histogram, the batch dedup ratio and the estimated
-pool-reuse savings — and render via ``repro report`` / ``--metrics``.
+per-request latency histogram, the batch dedup ratio and, recorded by
+this process from each result's ``meta``, every computed job's engine,
+cells and wall time — and render via ``repro report`` / ``--metrics``.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field, replace
-from typing import Any, Callable, Iterable, Sequence
+from typing import (
+    TYPE_CHECKING, Any, Callable, Iterable, NamedTuple, Sequence,
+)
 
 from repro.cache import (
     ResultCache,
@@ -47,7 +49,7 @@ from repro.cache import (
     permute_rows,
     request_key,
 )
-from repro.cache.key import MODES, canonical_order
+from repro.cache.key import MODES, canonical_order, scheme_fingerprint
 from repro.core.api import (
     AVAILABLE_METHODS,
     AUTO_POLICIES,
@@ -61,20 +63,19 @@ from repro.obs import hooks as _obs
 from repro.obs import trace as _trace
 from repro.util.validation import check_sequences
 
-#: *Resolved* methods the long-lived pool serves (its workers run the
-#: wavefront kernel, which reproduces these bit-identically).
-#: ``auto`` is resolved before this check, so a request the cost model
-#: routes to ``pruned``/``banded``/``hirschberg`` dispatches to
-#: ``align3`` instead of losing its pruning to the pool.
-POOL_METHODS = ("wavefront",)
+if TYPE_CHECKING:  # pragma: no cover - multiprocessing loads on first fan-out
+    from repro.batch.jobs import JobWorkers
 
 #: Namespace prefix for order-insensitive secondary cache entries, kept
 #: disjoint from exact digests so a permutation-derived alignment can
 #: never masquerade as a bit-identical exact hit.
 PERM_PREFIX = "p:"
 
-#: Largest cube served from the pool; beyond this the full move cube
-#: would dominate memory and ``align3``'s degradation ladder should rule.
+#: Legacy constants of the removed within-cube pool path (the methods a
+#: :class:`~repro.parallel.executor.WavefrontPool` reproduces, and the
+#: largest cube it was given). Kept importable for callers that size a
+#: pool from them; they no longer steer the scheduler's dispatch.
+POOL_METHODS = ("wavefront",)
 DEFAULT_MAX_POOL_CELLS = 2_000_000
 
 
@@ -128,10 +129,12 @@ class BatchStats:
     dedup_hits: int = 0
     permutation_hits: int = 0
     computed: int = 0
+    #: Computes that ran on the job workers (the rest ran inline).
     pool_jobs: int = 0
+    #: Seconds spent spawning job workers in this run (0 when reused).
     pool_setup_s: float = 0.0
-    pool_savings_s: float = 0.0
-    shape_groups: int = 0
+    #: Job workers respawned after dying mid-batch.
+    job_respawns: int = 0
     wall_s: float = 0.0
 
     @property
@@ -156,8 +159,7 @@ class BatchStats:
             "dedup_ratio": self.dedup_ratio,
             "pool_jobs": self.pool_jobs,
             "pool_setup_s": self.pool_setup_s,
-            "pool_savings_s": self.pool_savings_s,
-            "shape_groups": self.shape_groups,
+            "job_respawns": self.job_respawns,
             "wall_s": self.wall_s,
         }
 
@@ -173,6 +175,69 @@ class BatchReport:
         return [r.alignment for r in self.results]
 
 
+class _Resolved(NamedTuple):
+    """A request's engine (``"chain"`` for constrained/anchored ones),
+    its cache-key method component, and the ``auto`` selection record."""
+
+    engine: str
+    key_method: str
+    selection: dict | None = None
+
+
+class _Job(NamedTuple):
+    """One compute, fully resolved in the scheduler's process; picklable,
+    so it runs the same inline or on a job worker."""
+
+    seqs: tuple[str, str, str]
+    scheme: ScoringScheme
+    mode: str
+    method: str
+    requested: str
+    constraints: tuple[tuple[int, int, int, int], ...] | None
+    selection: dict | None
+    auto_policy: str
+    hint: float | None
+    workers: int
+
+
+def _cells(seqs: Sequence[str]) -> int:
+    n1, n2, n3 = (len(s) for s in seqs)
+    return (n1 + 1) * (n2 + 1) * (n3 + 1)
+
+
+def _compute(job: _Job) -> Alignment3:
+    """Run one job on the engine it was resolved to. ``auto`` is never
+    re-resolved here: the scheduler's ``selection`` becomes
+    ``meta["auto"]``, as ``align3(method="auto")`` would record it."""
+    if job.mode == "local":
+        from repro.core.local import align3_local
+
+        aln = align3_local(*job.seqs, job.scheme)
+    elif job.mode == "semiglobal":
+        from repro.core.semiglobal import align3_semiglobal
+
+        aln = align3_semiglobal(*job.seqs, job.scheme)
+    elif job.method == "chain":
+        aln = align3(
+            *job.seqs,
+            job.scheme,
+            method=job.requested,
+            workers=job.workers,
+            auto_policy=job.auto_policy,
+            constraints=job.constraints,
+            cells_per_s_hint=job.hint,
+        )
+    else:
+        aln = align3(
+            *job.seqs, job.scheme, method=job.method, workers=job.workers
+        )
+        if job.selection is not None:
+            aln.meta["auto"] = job.selection
+    aln.meta.setdefault("mode", job.mode)
+    aln.meta.setdefault("scheme", job.scheme.name)
+    return aln
+
+
 class BatchScheduler:
     """Serve batches of alignment requests over shared workers and a cache.
 
@@ -182,16 +247,20 @@ class BatchScheduler:
         Result cache shared across batches; None disables caching (the
         in-batch dedup stages still apply).
     workers:
-        Worker count for the pool (1 = serial sweeps, no forking).
-    max_pool_cells:
-        Cube-size ceiling for pool execution; larger jobs fall back to
-        :func:`align3`, whose degradation ladder knows about memory.
+        Job worker processes a batch's computes fan out over (1 = run
+        every compute inline, no forking). Also the worker count an
+        explicit ``method="blocks"`` request runs with.
     auto_policy:
         Forwarded to :func:`repro.core.api.select_method` when resolving
         ``method="auto"`` requests: ``"similarity"`` (default) or the
         legacy ``"cells"`` split.
+    cells_per_s_hint:
+        Observed plain-sweep throughput for admission-informed method
+        selection: a number, or a zero-arg callable read once per batch
+        (the serve tier binds the admission controller's live EWMA).
 
-    Use as a context manager, or call :meth:`close` to release the pool::
+    Use as a context manager, or call :meth:`close` to stop the job
+    workers::
 
         with BatchScheduler(cache=ResultCache()) as sched:
             report = sched.run(requests)
@@ -201,7 +270,6 @@ class BatchScheduler:
         self,
         cache: ResultCache | None = None,
         workers: int = 2,
-        max_pool_cells: int = DEFAULT_MAX_POOL_CELLS,
         auto_policy: str = "similarity",
         cells_per_s_hint: "float | Callable[[], float | None] | None" = None,
     ):
@@ -214,14 +282,9 @@ class BatchScheduler:
             )
         self.cache = cache
         self.workers = int(workers)
-        self.max_pool_cells = int(max_pool_cells)
         self.auto_policy = auto_policy
-        #: Observed plain-sweep throughput for admission-informed method
-        #: selection: a number, or a zero-arg callable read per request
-        #: (the serve tier binds the admission controller's live EWMA).
         self.cells_per_s_hint = cells_per_s_hint
-        self._pool = None  # lazily created WavefrontPool
-        self._pool_capacity = (0, 0, 0)
+        self._jobs: JobWorkers | None = None  # spawned on first fan-out
 
     def _hint(self) -> float | None:
         hint = self.cells_per_s_hint
@@ -230,40 +293,15 @@ class BatchScheduler:
         return float(hint) if hint else None
 
     # ------------------------------------------------------------------
-    # Pool lifecycle
+    # Worker lifecycle
     # ------------------------------------------------------------------
 
-    def _ensure_pool(self, dims_list: list[tuple[int, int, int]]):
-        """A pool whose capacity covers ``dims_list``, reusing the live one
-        when it already fits (the whole point: spawn workers once)."""
-        from repro.parallel.executor import WavefrontPool
-
-        needed = tuple(
-            max(d[i] for d in dims_list) for i in range(3)
-        )
-        if self._pool is not None and all(
-            n <= c for n, c in zip(needed, self._pool_capacity)
-        ):
-            return self._pool, 0.0
-        if self._pool is not None:
-            # Grow: never shrink below what earlier batches needed.
-            needed = tuple(
-                max(n, c) for n, c in zip(needed, self._pool_capacity)
-            )
-            self._pool.close()
-            self._pool = None
-        t0 = time.perf_counter()
-        self._pool = WavefrontPool(needed, workers=self.workers)
-        setup_s = time.perf_counter() - t0
-        self._pool_capacity = needed
-        return self._pool, setup_s
-
     def close(self) -> None:
-        """Shut down the worker pool (idempotent)."""
-        if self._pool is not None:
-            self._pool.close()
-            self._pool = None
-            self._pool_capacity = (0, 0, 0)
+        """Stop the job workers (idempotent; bounded even with a job in
+        flight). A later :meth:`run` spawns fresh ones."""
+        jobs, self._jobs = self._jobs, None
+        if jobs is not None:
+            jobs.close()
 
     def __enter__(self) -> "BatchScheduler":
         return self
@@ -311,87 +349,87 @@ class BatchScheduler:
         return req
 
     def _resolve(
-        self, req: AlignmentRequest, scheme: ScoringScheme
-    ) -> tuple[str, str]:
-        """``(resolved engine, cache-key method component)`` for a request.
+        self, req: AlignmentRequest, scheme: ScoringScheme,
+        hint: float | None,
+    ) -> _Resolved:
+        """How a request will run: its engine, its cache-key method
+        component and, for ``auto``, the cost model's ``selection``.
 
         Mirrors ``align3``'s resolution order: the key must be derived
         from the method that will actually run, not the request string —
         keying on the raw string stored the same bit-identical alignment
-        under ``auto`` and its resolved engine twice (the cache-aliasing
-        bug this PR fixes). Non-global modes have a single engine each,
-        so their raw ``auto`` keys are already canonical.
+        under ``auto`` and its resolved engine twice. Non-global modes
+        have a single engine each, so their raw ``auto`` keys are already
+        canonical.
 
         Chain-mode requests (constraints, or ``method="anchored"``)
-        resolve to the sentinel engine ``"chain"`` — never pool-eligible,
-        always dispatched through ``align3`` which owns the per-sub-cube
-        selection. Constrained results are engine-independent (every
-        segment engine is exact), so they key as ``"exact"`` plus the
-        constraint digest; anchored results key as their own class.
+        resolve to the sentinel engine ``"chain"``, dispatched through
+        ``align3``, which owns the per-sub-cube selection. Constrained
+        results are engine-independent (every segment engine is exact),
+        so they key as ``"exact"`` plus the constraint digest; anchored
+        results key as their own class.
         """
         if req.mode != "global":
-            return req.method, req.method
+            return _Resolved(req.method, req.method)
         if req.constraints:
-            return "chain", "exact"
+            return _Resolved("chain", "exact")
         if req.method == "anchored":
-            return "chain", "anchored"
-        method = req.method
+            return _Resolved("chain", "anchored")
+        method, selection = req.method, None
         if method == "auto":
             if scheme.is_affine:
                 method = "affine"
             else:
-                method, _sel = select_method(
+                method, selection = select_method(
                     *req.seqs, scheme, policy=self.auto_policy,
-                    cells_per_s=self._hint(),
+                    cells_per_s=hint,
                 )
-        return method, method_key_class(method)
+        return _Resolved(method, method_key_class(method), selection)
 
-    def _pool_eligible(
-        self, req: AlignmentRequest, scheme: ScoringScheme, resolved: str
-    ) -> bool:
-        if req.mode != "global" or scheme.is_affine:
-            return False
-        if resolved not in POOL_METHODS:
-            return False
-        n1, n2, n3 = (len(s) for s in req.seqs)
-        if min(n1, n2, n3) == 0:
-            return False  # degenerate cubes run serially in microseconds
-        return (n1 + 1) * (n2 + 1) * (n3 + 1) <= self.max_pool_cells
+    def _resolve_all(
+        self, reqs: list[AlignmentRequest], schemes: list[ScoringScheme],
+        hint: float | None,
+    ) -> list[_Resolved]:
+        """Resolve every request, running the ``auto`` cost model once
+        per distinct triple and scheme (duplicates share the answer)."""
+        memo: dict[tuple, _Resolved] = {}
+        out = []
+        for req, scheme in zip(reqs, schemes):
+            if req.mode != "global" or req.method != "auto":
+                out.append(self._resolve(req, scheme, hint))
+                continue
+            mk = (req.seqs, scheme_fingerprint(scheme), req.constraints)
+            if mk not in memo:
+                memo[mk] = self._resolve(req, scheme, hint)
+            out.append(memo[mk])
+        return out
 
-    def _compute_direct(
-        self, req: AlignmentRequest, scheme: ScoringScheme
-    ) -> Alignment3:
-        if req.mode == "local":
-            from repro.core.local import align3_local
+    def _job(
+        self, req: AlignmentRequest, scheme: ScoringScheme, res: _Resolved,
+        hint: float | None,
+    ) -> _Job:
+        return _Job(
+            seqs=req.seqs,
+            scheme=scheme,
+            mode=req.mode,
+            method=res.engine,
+            requested=req.method,
+            constraints=req.constraints,
+            selection=res.selection,
+            auto_policy=self.auto_policy,
+            hint=hint,
+            workers=self.workers,
+        )
 
-            aln = align3_local(*req.seqs, scheme)
-        elif req.mode == "semiglobal":
-            from repro.core.semiglobal import align3_semiglobal
+    def _job_workers(self) -> JobWorkers | None:
+        """The live job workers, created on first use; None where the
+        platform cannot fork."""
+        from repro.batch.jobs import JobWorkers
+        from repro.parallel.executor import fork_available
 
-            aln = align3_semiglobal(*req.seqs, scheme)
-        else:
-            aln = align3(
-                *req.seqs,
-                scheme,
-                method=req.method,
-                workers=self.workers,
-                auto_policy=self.auto_policy,
-                constraints=req.constraints,
-                cells_per_s_hint=self._hint(),
-            )
-        aln.meta.setdefault("mode", req.mode)
-        aln.meta.setdefault("scheme", scheme.name)
-        return aln
-
-    def _compute_pooled(
-        self, pool, req: AlignmentRequest, scheme: ScoringScheme,
-        resolved: str,
-    ) -> Alignment3:
-        aln = pool.align3(*req.seqs, scheme)
-        aln.meta["method"] = resolved
-        aln.meta["mode"] = req.mode
-        aln.meta["scheme"] = scheme.name
-        return aln
+        if self._jobs is None and fork_available():
+            self._jobs = JobWorkers(_compute, self.workers)
+        return self._jobs
 
     # ------------------------------------------------------------------
     # The batch pipeline
@@ -405,23 +443,22 @@ class BatchScheduler:
         """Serve ``requests``; results come back in request order.
 
         ``on_result`` is invoked with each :class:`RequestResult` the
-        moment its group is served (cache hits first, then computes as
-        each shape group finishes) — completion order, not request
-        order; ``RequestResult.index`` maps back.
+        moment it is served (cache hits first, then computes as each job
+        completes) — completion order, not request order;
+        ``RequestResult.index`` maps back.
         """
         t_batch = time.perf_counter()
         reqs = [self._normalise(r) for r in requests]
         schemes = [resolve_scheme(r.seqs, r.scheme) for r in reqs]
-        resolved = [
-            self._resolve(req, scheme)
-            for req, scheme in zip(reqs, schemes)
-        ]
+        hint = self._hint()
+        resolved = self._resolve_all(reqs, schemes, hint)
         stats = BatchStats(requests=len(reqs))
         results: list[RequestResult | None] = [None] * len(reqs)
 
         with _trace.span("batch", requests=len(reqs)):
             self._run_stages(
-                reqs, schemes, resolved, results, stats, emit=on_result
+                reqs, schemes, resolved, hint, results, stats,
+                emit=on_result,
             )
 
         stats.wall_s = time.perf_counter() - t_batch
@@ -440,7 +477,6 @@ class BatchScheduler:
             computed=stats.computed,
             seconds=stats.wall_s,
             pool_jobs=stats.pool_jobs,
-            pool_savings_s=stats.pool_savings_s,
         )
         return BatchReport(results=final, stats=stats)
 
@@ -451,10 +487,10 @@ class BatchScheduler:
     ) -> BatchReport:
         """Like :meth:`run`, but built for arbitrarily long batches: each
         result goes to ``on_result`` as it completes and its alignment is
-        then **released** (set to None), so peak memory holds one shape
-        group's alignments instead of the whole batch's. The returned
-        report still carries full stats and per-request accounting
-        (index, rid, key, source, latency) — just no alignment rows.
+        then **released** (set to None), so peak memory does not grow with
+        the batch's alignments. The returned report still carries full
+        stats and per-request accounting (index, rid, key, source,
+        latency) — just no alignment rows.
         """
 
         def emit_and_release(res: RequestResult) -> None:
@@ -467,7 +503,8 @@ class BatchScheduler:
         self,
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[tuple[str, str]],
+        resolved: list[_Resolved],
+        hint: float | None,
         results: list[RequestResult | None],
         stats: BatchStats,
         emit: "Callable[[RequestResult], None] | None" = None,
@@ -479,7 +516,7 @@ class BatchScheduler:
         groups: dict[str, list[int]] = {}
         for i, (req, scheme) in enumerate(zip(reqs, schemes)):
             key = request_key(
-                req.seqs, scheme, req.mode, resolved[i][1],
+                req.seqs, scheme, req.mode, resolved[i].key_method,
                 constraints=req.constraints,
             )
             groups.setdefault(key, []).append(i)
@@ -487,7 +524,7 @@ class BatchScheduler:
         pending: list[tuple[str, list[int]]] = []
         for key, idxs in groups.items():
             req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            key_method = resolved[idxs[0]][1]
+            key_method = resolved[idxs[0]].key_method
             t0 = time.perf_counter()
             hit = None
             source = "memory_hit"
@@ -527,7 +564,7 @@ class BatchScheduler:
         to_compute: list[tuple[str, list[int]]] = []
         for key, idxs in pending:
             req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            if resolved[idxs[0]][0] == "chain":
+            if resolved[idxs[0]].engine == "chain":
                 # Constrained/anchored requests skip permutation reuse:
                 # anchor coordinates are order-sensitive, and discovery's
                 # chain tie-breaks under a permuted sort order may pick a
@@ -536,7 +573,7 @@ class BatchScheduler:
                 to_compute.append((key, idxs))
                 continue
             pkey = PERM_PREFIX + permutation_key(
-                req.seqs, scheme, req.mode, resolved[idxs[0]][1]
+                req.seqs, scheme, req.mode, resolved[idxs[0]].key_method
             )
             t0 = time.perf_counter()
             canon = (
@@ -559,59 +596,51 @@ class BatchScheduler:
                 bucket.append((key, idxs))
                 to_compute.append((key, idxs))
 
-        # Stage 3: group misses by cube shape, largest first, and run them
-        # over one pool; ineligible jobs dispatch per request.
-        by_shape: dict[tuple[int, int, int], list[tuple[str, list[int]]]] = {}
-        direct: list[tuple[str, list[int]]] = []
-        for key, idxs in to_compute:
-            req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            if self._pool_eligible(req, scheme, resolved[idxs[0]][0]):
-                dims = tuple(len(s) for s in req.seqs)
-                by_shape.setdefault(dims, []).append((key, idxs))
-            else:
-                direct.append((key, idxs))
-        stats.shape_groups = len(by_shape)
-
-        pool = None
-        if by_shape:
-            pool, setup_s = self._ensure_pool(list(by_shape.keys()))
-            stats.pool_setup_s = setup_s
-            n_pool_jobs = sum(len(v) for v in by_shape.values())
-            # Reusing live workers saves roughly one spawn per job after
-            # the first; with a pre-warmed pool (setup 0) every job rides
-            # the previous batch's spawn.
-            per_spawn = setup_s if setup_s > 0 else self._last_setup_s
-            stats.pool_savings_s = per_spawn * max(
-                0, n_pool_jobs - (1 if setup_s > 0 else 0)
+        # Stage 3: two or more computes go out whole to the job workers,
+        # cheapest cube first (ties in request order); a lone one, or
+        # workers=1, runs right here with no IPC, in request order.
+        jobs = [
+            self._job(
+                reqs[idxs[0]], schemes[idxs[0]], resolved[idxs[0]], hint
             )
-            if setup_s > 0:
-                self._last_setup_s = setup_s
+            for _key, idxs in to_compute
+        ]
 
-        for dims in sorted(by_shape, key=lambda d: -(d[0] * d[1] * d[2])):
-            for key, idxs in by_shape[dims]:
-                req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-                t0 = time.perf_counter()
-                aln = self._compute_pooled(
-                    pool, req, scheme, resolved[idxs[0]][0]
-                )
-                dt = time.perf_counter() - t0
-                stats.pool_jobs += 1
-                self._finish_compute(
-                    results, reqs, schemes, resolved, perm_groups, key,
-                    idxs, aln, dt, stats, emit=emit,
-                )
-
-        for key, idxs in direct:
-            req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            t0 = time.perf_counter()
-            aln = self._compute_direct(req, scheme)
-            dt = time.perf_counter() - t0
+        def done(j: int, aln: Alignment3, dt: float, on_worker: bool) -> None:
+            key, idxs = to_compute[j]
+            stats.pool_jobs += on_worker
+            _obs.record_job(
+                engine=aln.meta.get("engine", jobs[j].method),
+                cells=aln.meta.get("cells", _cells(jobs[j].seqs)),
+                seconds=dt,
+                on_worker=on_worker,
+            )
             self._finish_compute(
                 results, reqs, schemes, resolved, perm_groups, key, idxs,
                 aln, dt, stats, emit=emit,
             )
 
-    _last_setup_s: float = 0.0
+        # An explicit ``blocks`` request forks its own pool, which a
+        # (daemonic) job worker may not do: it stays in this process.
+        fan = [j for j, job in enumerate(jobs) if job.requested != "blocks"]
+        fanned: set[int] = set()
+        workers = (
+            self._job_workers()
+            if self.workers >= 2 and len(fan) >= 2 else None
+        )
+        if workers is not None:
+            fan.sort(key=lambda j: (_cells(jobs[j].seqs), j))
+            stats.pool_setup_s = workers.ensure()
+            stats.job_respawns = workers.run(
+                [jobs[j] for j in fan],
+                lambda i, aln, dt: done(fan[i], aln, dt, True),
+            )
+            fanned = set(fan)
+        for j, job in enumerate(jobs):
+            if j not in fanned:
+                t0 = time.perf_counter()
+                aln = _compute(job)
+                done(j, aln, time.perf_counter() - t0, False)
 
     # ------------------------------------------------------------------
     # Result fan-out
@@ -622,7 +651,7 @@ class BatchScheduler:
         results: list[RequestResult | None],
         reqs: list[AlignmentRequest],
         schemes: list[ScoringScheme],
-        resolved: list[tuple[str, str]],
+        resolved: list[_Resolved],
         perm_groups: dict[str, list[tuple[str, list[int]]]],
         key: str,
         idxs: list[int],
@@ -633,7 +662,7 @@ class BatchScheduler:
     ) -> None:
         req, scheme = reqs[idxs[0]], schemes[idxs[0]]
         stats.computed += 1
-        if resolved[idxs[0]][0] == "chain":
+        if resolved[idxs[0]].engine == "chain":
             # No permutation key for chain-mode results (see stage 2).
             if self.cache is not None:
                 self.cache.put(key, aln)
@@ -644,7 +673,7 @@ class BatchScheduler:
             return
         canonical, perm = canonical_order(req.seqs)
         pkey = PERM_PREFIX + permutation_key(
-            req.seqs, scheme, req.mode, resolved[idxs[0]][1]
+            req.seqs, scheme, req.mode, resolved[idxs[0]].key_method
         )
         if self.cache is not None:
             self.cache.put(key, aln)
@@ -709,19 +738,15 @@ def run_batch(
     requests: Iterable["AlignmentRequest | Sequence[str]"],
     cache: ResultCache | None = None,
     workers: int = 2,
-    max_pool_cells: int = DEFAULT_MAX_POOL_CELLS,
     auto_policy: str = "similarity",
 ) -> BatchReport:
     """One-shot convenience: build a scheduler, run one batch, close it.
 
     Prefer a long-lived :class:`BatchScheduler` when serving repeatedly —
-    this helper still gets the dedup and caching but pays the pool spawn
-    per call.
+    this helper still gets the dedup and caching but pays the job-worker
+    spawn per call.
     """
     with BatchScheduler(
-        cache=cache,
-        workers=workers,
-        max_pool_cells=max_pool_cells,
-        auto_policy=auto_policy,
+        cache=cache, workers=workers, auto_policy=auto_policy
     ) as sched:
         return sched.run(requests)

@@ -151,7 +151,9 @@ def _build_parser() -> argparse.ArgumentParser:
         help="default alignment mode",
     )
     p_batch.add_argument(
-        "--workers", type=int, default=2, help="pool worker count"
+        "--workers", type=int, default=2,
+        help="job worker processes the batch's computes fan out over "
+        "(1 = run them inline)",
     )
     p_batch.add_argument(
         "--auto-policy",
@@ -194,7 +196,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "bound address is printed to stderr)",
     )
     p_serve.add_argument(
-        "--workers", type=int, default=2, help="worker pool size"
+        "--workers", type=int, default=2,
+        help="job worker processes under the batch scheduler",
     )
     p_serve.add_argument(
         "--auto-policy",
@@ -746,10 +749,10 @@ def _cmd_batch(args) -> int:
         max_entries=args.max_entries, cache_dir=args.cache_dir
     )
 
-    # Results stream out as each shape-group completes rather than being
-    # buffered until the whole batch is done: long batches show progress,
-    # and run_stream releases each alignment after its line is written so
-    # resident memory stays bounded by one shape-group, not the batch.
+    # Results stream out as each job completes rather than being buffered
+    # until the whole batch is done: long batches show progress, and
+    # run_stream releases each alignment after its line is written so
+    # resident memory does not grow with the batch.
     if args.output == "jsonl":
         def emit(res) -> None:
             print(
@@ -785,7 +788,7 @@ def _cmd_batch(args) -> int:
         f"cache_hits={s.cache_hits} dedup={s.dedup_hits} "
         f"permutation={s.permutation_hits} "
         f"dedup_ratio={s.dedup_ratio:.2f} wall={s.wall_s:.3f}s "
-        f"pool_jobs={s.pool_jobs}",
+        f"inline={s.computed - s.pool_jobs} on_workers={s.pool_jobs}",
         file=sys.stderr,
     )
     return 0

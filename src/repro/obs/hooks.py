@@ -236,9 +236,11 @@ def record_batch(
     computed: int,
     seconds: float,
     pool_jobs: int = 0,
-    pool_savings_s: float = 0.0,
 ) -> None:
-    """One completed batch: dedup ratio and pool-reuse accounting."""
+    """One completed batch: dedup ratio and job-worker compute count.
+
+    ``pool_jobs`` counts the batch's computes that ran on forked job
+    workers rather than inline."""
     if trace.enabled:
         trace.event(
             "batch",
@@ -248,7 +250,6 @@ def record_batch(
             computed=computed,
             seconds=seconds,
             pool_jobs=pool_jobs,
-            pool_savings_s=pool_savings_s,
         )
     if metrics.enabled:
         reg = metrics.registry()
@@ -260,7 +261,30 @@ def record_batch(
             )
         if pool_jobs:
             reg.counter("pool_jobs").inc(pool_jobs)
-            reg.counter("pool_spawn_savings_s").inc(pool_savings_s)
+
+
+def record_job(
+    *, engine: str, cells: int, seconds: float, on_worker: bool
+) -> None:
+    """One computed batch job: engine, cells and wall time.
+
+    Recorded by the scheduler's process from the result's ``meta``, so
+    jobs that ran on a forked job worker, whose own metrics die with
+    it, are still counted."""
+    if trace.enabled:
+        trace.event(
+            "batch_job",
+            engine=engine,
+            cells=cells,
+            seconds=seconds,
+            on_worker=on_worker,
+        )
+    if metrics.enabled:
+        reg = metrics.registry()
+        reg.counter("batch_jobs").inc()
+        reg.counter(f"batch_jobs_{engine}").inc()
+        reg.counter("batch_job_cells").inc(cells)
+        reg.histogram("batch_job_s", metrics.LATENCY_BUCKETS).observe(seconds)
 
 
 def record_serve_request(*, route: str, status: int, seconds: float) -> None:

@@ -165,14 +165,36 @@ def _batch_table(batches: list[dict]) -> str:
             else 0.0,
             b.get("seconds", 0.0),
             b.get("pool_jobs", 0),
-            b.get("pool_savings_s", 0.0),
         )
         for b in batches
     ]
     return format_table(
-        "batches (request dedup and pool reuse)",
+        "batches (request dedup; pool_jobs = computes on job workers)",
         ["requests", "cache_hits", "deduped", "computed", "dedup_ratio",
-         "wall_s", "pool_jobs", "pool_savings_s"],
+         "wall_s", "pool_jobs"],
+        rows,
+    )
+
+
+def _job_table(jobs: list[dict]) -> str:
+    by_engine: dict[str, list[dict]] = {}
+    for j in jobs:
+        by_engine.setdefault(str(j.get("engine", "?")), []).append(j)
+    rows = []
+    for engine in sorted(by_engine):
+        group = by_engine[engine]
+        total = sum(float(j.get("seconds", 0.0)) for j in group)
+        rows.append((
+            engine,
+            len(group),
+            sum(1 for j in group if j.get("on_worker")),
+            sum(int(j.get("cells", 0)) for j in group),
+            total,
+            total / len(group) * 1e3,
+        ))
+    return format_table(
+        "batch jobs by engine",
+        ["engine", "jobs", "on_workers", "cells", "total_s", "mean_ms"],
         rows,
     )
 
@@ -216,11 +238,13 @@ def render_report(path: Any, plane_bins: int = 12) -> str:
         sections.append(_worker_table(grouped["worker"]))
     if grouped.get("sim"):
         sections.append(_sim_table(grouped["sim"]))
-    batch_events = [
-        e for e in grouped.get("event", []) if e.get("name") == "batch"
-    ]
+    events = grouped.get("event", [])
+    batch_events = [e for e in events if e.get("name") == "batch"]
     if batch_events:
         sections.append(_batch_table(batch_events))
+    job_events = [e for e in events if e.get("name") == "batch_job"]
+    if job_events:
+        sections.append(_job_table(job_events))
     return "\n\n".join(sections)
 
 

@@ -116,6 +116,18 @@ def flush() -> None:
         _recorder.flush()
 
 
+def _after_fork_in_child() -> None:
+    # Another thread of the parent may have held the sink's lock (or
+    # queued lines) at the fork: the child starts with a free lock and
+    # leaves the parent's lines to the parent.
+    if _recorder is not None:
+        _recorder._lock = threading.Lock()
+        _recorder._buf = []
+
+
+os.register_at_fork(after_in_child=_after_fork_in_child)
+
+
 # ---------------------------------------------------------------------------
 # Spans
 # ---------------------------------------------------------------------------

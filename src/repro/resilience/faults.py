@@ -7,6 +7,8 @@ A fault spec is a compact string::
 with kinds
 
 ``worker_crash``   the matching worker calls ``os._exit(13)`` mid-sweep
+                   (``@batch``: a batch job worker, after computing its
+                   job and before sending the result back)
 ``straggler``      the matching worker sleeps ``delay`` seconds at a plane
 ``corrupt_ghost``  a ghost payload is bit-flipped *after* its checksum is
                    computed (models wire corruption in ``mpirun``)
@@ -18,6 +20,7 @@ and keys ``engine``, ``worker``, ``rank``, ``plane``, ``block``,
 specs are separated by ``;``. Examples::
 
     worker_crash@blocks:worker=1,plane=25
+    worker_crash@batch:worker=1
     straggler@blocks:worker=1,delay=0.2
     corrupt_ghost:rank=1
     oom:budget=200000

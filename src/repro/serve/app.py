@@ -266,7 +266,6 @@ class AlignServer(JsonHttpServer):
         self.scheduler = scheduler or BatchScheduler(
             cache=self.cache,
             workers=self.config.workers,
-            max_pool_cells=self.config.max_pool_cells,
             auto_policy=self.config.auto_policy,
         )
         self.admission = AdmissionController(

@@ -10,7 +10,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.batch.scheduler import DEFAULT_MAX_POOL_CELLS
 from repro.serve.protocol import DEFAULT_MAX_BODY_BYTES
 
 #: Default service port (unassigned in the IANA registry).
@@ -47,7 +46,7 @@ class ServeConfig:
     #: router (or an operator) can tell instances apart.
     instance: str | None = None
 
-    #: Worker processes for the scheduler's persistent WavefrontPool.
+    #: Job worker processes under the scheduler (1 = compute inline).
     workers: int = 2
     #: Memory-tier capacity of the shared result cache.
     cache_entries: int = 4096
@@ -56,9 +55,6 @@ class ServeConfig:
     #: Optional shared cache service (``host:port``) queried on local
     #: misses and populated on puts — the tier replicas share.
     cache_url: str | None = None
-    #: Cube-size ceiling for pool execution (larger jobs fall back to
-    #: ``align3`` and its degradation ladder).
-    max_pool_cells: int = DEFAULT_MAX_POOL_CELLS
     #: How ``method="auto"`` requests pick an engine: ``"similarity"``
     #: (identity cost model; routes similar triples to the pruned
     #: engine) or the legacy ``"cells"`` cube-size split.
@@ -95,7 +91,7 @@ class ServeConfig:
         for name in (
             "cache_entries", "queue_depth", "max_inflight_cells",
             "max_request_cells", "batch_max_requests", "job_capacity",
-            "max_body_bytes", "max_pool_cells",
+            "max_body_bytes",
         ):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")

@@ -110,6 +110,31 @@ class TestRecorder:
         )
 
 
+    @pytest.mark.skipif(not fork_available(), reason="needs fork")
+    def test_fork_while_sink_lock_held_does_not_deadlock(self, tracing):
+        # A job worker may be forked while another thread of the parent
+        # (a server's event loop) holds the sink's lock: the child must
+        # still be able to trace.
+        import multiprocessing as mp
+
+        def child():
+            trace.event("from_child")
+            trace.flush()
+
+        recorder = trace._recorder
+        with recorder._lock:
+            proc = mp.get_context("fork").Process(target=child)
+            proc.start()
+        proc.join(timeout=20)
+        alive = proc.is_alive()
+        if alive:
+            proc.kill()
+        assert not alive and proc.exitcode == 0
+        trace.flush()
+        names = [r.get("name") for r in read_trace(tracing)]
+        assert names.count("from_child") == 1
+
+
 class TestHistogram:
     def test_bucketing_edges(self):
         h = metrics.Histogram(bounds=(1.0, 10.0, 100.0))
@@ -231,6 +256,27 @@ class TestReport:
         # 46 planes collapse to at most 5 rows when binned, one row each
         # when not; the unbinned report is strictly longer.
         assert len(per_plane.splitlines()) > len(binned.splitlines())
+
+    def test_batch_jobs_counted_from_the_parent(self, tracing, dna_scheme):
+        # Jobs fanned out to forked job workers are recorded by the
+        # scheduler's process, so the report counts every one of them.
+        from repro.batch import AlignmentRequest, run_batch
+
+        reqs = [
+            AlignmentRequest(seqs=tuple(mutated_family(n, seed=n)))
+            for n in (10, 12, 14)
+        ]
+        report = run_batch(reqs, workers=2)
+        trace.flush()
+        events = [
+            r for r in read_trace(tracing)
+            if r["type"] == "event" and r["name"] == "batch_job"
+        ]
+        assert len(events) == 3
+        assert sum(e["on_worker"] for e in events) == report.stats.pool_jobs
+        text = render_report(tracing)
+        assert "batch jobs by engine" in text
+        assert "pool_jobs = computes on job workers" in text
 
     def test_empty_trace(self, tmp_path):
         path = tmp_path / "empty.jsonl"

@@ -217,6 +217,8 @@ def test_check_batch_smoke():
     # Small duplicate-heavy batch with a loose speedup bound: verifies the
     # gate's plumbing (dedup accounting, bit-identity sweep, warm re-run);
     # the real 200-request / 2x run is the standalone acceptance gate.
+    # The distinct regime runs at its fixed size with one repeat, which
+    # is too noisy for its 1.3x bound: here it must not lose to the loop.
     result = subprocess.run(
         [
             sys.executable,
@@ -226,6 +228,7 @@ def test_check_batch_smoke():
             "--n", "16",
             "--repeats", "1",
             "--min-speedup", "1.2",
+            "--min-distinct-speedup", "1.0",
             "--no-record",
         ],
         capture_output=True,
@@ -235,6 +238,7 @@ def test_check_batch_smoke():
     )
     assert result.returncode == 0, result.stdout + result.stderr
     assert "OK:" in result.stdout and "dedup_ratio=" in result.stdout
+    assert "OK: distinct" in result.stdout
 
 
 def test_check_serve_smoke():

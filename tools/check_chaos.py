@@ -11,6 +11,9 @@ recovery contract from ``docs/robustness.md``:
   (the tube run to the serial tube-pruned sweep);
 * a straggler is tolerated (or killed and replayed) without changing
   the output;
+* a batch job worker killed mid-job (``worker_crash@batch``) is reaped
+  and respawned, its job reruns once, and the batch finishes with
+  results bit-identical to the inline path;
 * a corrupted ghost payload in ``mpirun`` is caught by the CRC32
   checksum, retransmitted, and the score stays exact;
 * a dead rank raises a typed ``WorkerFailure`` carrying the failure log
@@ -155,6 +158,26 @@ def main(argv: list[str] | None = None) -> int:
             "output differs under a straggler"
         )
 
+    def batch_job_crash() -> None:
+        from repro.batch import AlignmentRequest, BatchScheduler
+
+        reqs = [
+            AlignmentRequest(seqs=tuple(mutated_family(m, seed=30 + m)))
+            for m in (args.n // 2, args.n, args.n + 3, args.n // 2 + 1)
+        ]
+        with BatchScheduler(workers=1) as sched:
+            want = sched.run(reqs).results
+        faults.install("worker_crash@batch:worker=1")
+        with BatchScheduler(workers=2) as sched:
+            report = sched.run(reqs)
+        assert report.stats.job_respawns == 1, "no respawn recorded"
+        assert report.stats.pool_jobs == len(reqs), "jobs did not fan out"
+        for got, ref in zip(report.results, want):
+            assert (
+                got.alignment.rows == ref.alignment.rows
+                and got.alignment.score == ref.alignment.score
+            ), "batch output differs after the rerun"
+
     def mpirun_corrupt() -> None:
         faults.install("corrupt_ghost@mpirun")
         res = run_distributed(*seqs, scheme, block=16, procs=3)
@@ -189,6 +212,10 @@ def main(argv: list[str] | None = None) -> int:
         blocks_tube_crash,
     )
     scenario("blocks straggler tolerated", blocks_straggler)
+    scenario(
+        "batch job worker_crash -> respawn + rerun, bit-identical",
+        batch_job_crash,
+    )
     scenario("mpirun corrupt_ghost -> checksum + resend", mpirun_corrupt)
     scenario("mpirun rank death -> typed WorkerFailure", mpirun_rank_death)
     scenario("oom -> degradation ladder, optimal score", oom_degrade)
