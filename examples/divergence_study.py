@@ -15,7 +15,7 @@ Run:  python examples/divergence_study.py
 import time
 
 from repro import MutationModel, default_scheme_for, mutated_family
-from repro.core.bounds import carrillo_lipman_mask
+from repro.core.bounds import carrillo_lipman_tube
 from repro.core.wavefront import score3_wavefront
 from repro.heuristics import align3_centerstar, align3_progressive
 from repro.seqio.alphabet import DNA
@@ -45,9 +45,9 @@ def main() -> None:
             align3_progressive(*fam, scheme).score,
         )
 
-        mask, stats = carrillo_lipman_mask(*fam, scheme, lower_bound=heur)
+        tube, stats = carrillo_lipman_tube(*fam, scheme, lower_bound=heur)
         t0 = time.perf_counter()
-        pruned = score3_wavefront(*fam, scheme, mask=mask)
+        pruned = score3_wavefront(*fam, scheme, tube=tube)
         t_pruned = time.perf_counter() - t0
         assert pruned == exact, "pruning must preserve the optimum"
 

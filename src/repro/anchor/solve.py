@@ -60,7 +60,6 @@ def _solve_segment(
     scheme: ScoringScheme,
     engine: str,
     *,
-    auto_policy: str,
     cells_per_s_hint: float | None,
     workers: int,
     workspace,
@@ -72,8 +71,7 @@ def _solve_segment(
 
     if engine == "auto":
         engine, _sel = select_method(
-            sa, sb, sc, scheme, policy=auto_policy,
-            cells_per_s=cells_per_s_hint,
+            sa, sb, sc, scheme, cells_per_s=cells_per_s_hint
         )
     dims = (len(sa), len(sb), len(sc))
     if engine in _degrade.LADDER:
@@ -138,7 +136,6 @@ def align3_chain(
     anchors: Sequence[Any] | None = None,
     *,
     method: str = "auto",
-    auto_policy: str = "similarity",
     cells_per_s_hint: float | None = None,
     workers: int = 2,
     allow_degrade: bool = True,
@@ -208,7 +205,6 @@ def align3_chain(
             # to calling align3 without anchoring).
             aln, engine = _solve_segment(
                 sa, sb, sc, scheme, method,
-                auto_policy=auto_policy,
                 cells_per_s_hint=cells_per_s_hint,
                 workers=workers, workspace=None, budget=budget,
                 allow_degrade=allow_degrade,
@@ -236,7 +232,6 @@ def align3_chain(
                 (i0, j0, k0), (i1, j1, k1) = seg.start, seg.end
                 sub, engine = _solve_segment(
                     sa[i0:i1], sb[j0:j1], sc[k0:k1], scheme, method,
-                    auto_policy=auto_policy,
                     cells_per_s_hint=cells_per_s_hint,
                     workers=workers, workspace=workspace, budget=budget,
                     allow_degrade=allow_degrade,

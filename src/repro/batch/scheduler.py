@@ -8,8 +8,8 @@ serves it in stages, cheapest first:
    (:func:`repro.cache.request_key`, keyed on the *resolved* method's
    equivalence class, so ``auto`` and ``wavefront`` requests for the
    same triple form one group); each distinct request is looked up in
-   the :class:`~repro.cache.ResultCache` once (with a migration probe
-   of the legacy raw-method key), and duplicates share the answer.
+   the :class:`~repro.cache.ResultCache` once (one probe, so a cold
+   request counts one miss), and duplicates share the answer.
 2. **Permutation reuse** — remaining groups are probed by the
    order-insensitive secondary key. A hit (from the cache, or from
    another group of this batch) is mapped onto the request's sequence
@@ -52,7 +52,6 @@ from repro.cache import (
 from repro.cache.key import MODES, canonical_order, scheme_fingerprint
 from repro.core.api import (
     AVAILABLE_METHODS,
-    AUTO_POLICIES,
     align3,
     resolve_scheme,
     select_method,
@@ -195,7 +194,6 @@ class _Job(NamedTuple):
     requested: str
     constraints: tuple[tuple[int, int, int, int], ...] | None
     selection: dict | None
-    auto_policy: str
     hint: float | None
     workers: int
 
@@ -223,7 +221,6 @@ def _compute(job: _Job) -> Alignment3:
             job.scheme,
             method=job.requested,
             workers=job.workers,
-            auto_policy=job.auto_policy,
             constraints=job.constraints,
             cells_per_s_hint=job.hint,
         )
@@ -250,10 +247,6 @@ class BatchScheduler:
         Job worker processes a batch's computes fan out over (1 = run
         every compute inline, no forking). Also the worker count an
         explicit ``method="blocks"`` request runs with.
-    auto_policy:
-        Forwarded to :func:`repro.core.api.select_method` when resolving
-        ``method="auto"`` requests: ``"similarity"`` (default) or the
-        legacy ``"cells"`` split.
     cells_per_s_hint:
         Observed plain-sweep throughput for admission-informed method
         selection: a number, or a zero-arg callable read once per batch
@@ -270,19 +263,12 @@ class BatchScheduler:
         self,
         cache: ResultCache | None = None,
         workers: int = 2,
-        auto_policy: str = "similarity",
         cells_per_s_hint: "float | Callable[[], float | None] | None" = None,
     ):
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
-        if auto_policy not in AUTO_POLICIES:
-            raise ValueError(
-                f"unknown auto_policy {auto_policy!r}; "
-                f"available: {AUTO_POLICIES}"
-            )
         self.cache = cache
         self.workers = int(workers)
-        self.auto_policy = auto_policy
         self.cells_per_s_hint = cells_per_s_hint
         self._jobs: JobWorkers | None = None  # spawned on first fan-out
 
@@ -381,8 +367,7 @@ class BatchScheduler:
                 method = "affine"
             else:
                 method, selection = select_method(
-                    *req.seqs, scheme, policy=self.auto_policy,
-                    cells_per_s=hint,
+                    *req.seqs, scheme, cells_per_s=hint
                 )
         return _Resolved(method, method_key_class(method), selection)
 
@@ -416,7 +401,6 @@ class BatchScheduler:
             requested=req.method,
             constraints=req.constraints,
             selection=res.selection,
-            auto_policy=self.auto_policy,
             hint=hint,
             workers=self.workers,
         )
@@ -523,30 +507,12 @@ class BatchScheduler:
 
         pending: list[tuple[str, list[int]]] = []
         for key, idxs in groups.items():
-            req, scheme = reqs[idxs[0]], schemes[idxs[0]]
-            key_method = resolved[idxs[0]].key_method
             t0 = time.perf_counter()
             hit = None
             source = "memory_hit"
             if self.cache is not None:
                 pre_disk = self.cache.stats.disk_hits
                 hit = self.cache.get(key)
-                if (
-                    hit is None
-                    and req.method != key_method
-                    and not req.constraints
-                ):
-                    # Migration probe: older releases keyed on the raw
-                    # method string; re-home a hit under the class key.
-                    # (Never for constrained requests — a legacy probe
-                    # has no constraint digest, so it could alias an
-                    # unconstrained result onto a constrained request.)
-                    legacy = request_key(
-                        req.seqs, scheme, req.mode, req.method
-                    )
-                    hit = self.cache.get(legacy)
-                    if hit is not None:
-                        self.cache.put(key, hit)
                 if self.cache.stats.disk_hits > pre_disk:
                     source = "disk_hit"
             dt = time.perf_counter() - t0
@@ -738,7 +704,6 @@ def run_batch(
     requests: Iterable["AlignmentRequest | Sequence[str]"],
     cache: ResultCache | None = None,
     workers: int = 2,
-    auto_policy: str = "similarity",
 ) -> BatchReport:
     """One-shot convenience: build a scheduler, run one batch, close it.
 
@@ -746,7 +711,5 @@ def run_batch(
     this helper still gets the dedup and caching but pays the job-worker
     spawn per call.
     """
-    with BatchScheduler(
-        cache=cache, workers=workers, auto_policy=auto_policy
-    ) as sched:
+    with BatchScheduler(cache=cache, workers=workers) as sched:
         return sched.run(requests)

@@ -22,7 +22,7 @@ from repro.cluster import (
 )
 from repro.cluster.metrics import block_sweep, sweep_procs
 from repro.core.affine import align3_affine, score3_affine
-from repro.core.bounds import carrillo_lipman_mask
+from repro.core.bounds import carrillo_lipman_tube
 from repro.core.dp3d import score3_dp3d
 from repro.core.hirschberg import align3_hirschberg, memory_estimate_bytes
 from repro.core.rolling import score3_slab
@@ -317,19 +317,22 @@ def exp_t3(quick: bool) -> ExperimentResult:
 def exp_f5(quick: bool) -> ExperimentResult:
     n = 40 if quick else 80
     scales = (0.25, 1.0, 4.0) if quick else (0.25, 0.5, 1.0, 2.0, 4.0)
-    kept, t_full_s, t_pruned_s = [], [], []
+    kept, t_full_s, t_bound_s, t_pruned_s = [], [], [], []
     for scale in scales:
         seqs = _family(n, scale=scale, seed=23)
-        mask, stats = carrillo_lipman_mask(*seqs, _DNA)
+        t_bound, (tube, stats) = repeat_min(
+            lambda: carrillo_lipman_tube(*seqs, _DNA), repeats=2
+        )
         t_full, s_full = repeat_min(
             lambda: score3_wavefront(*seqs, _DNA), repeats=2
         )
         t_pruned, s_pruned = repeat_min(
-            lambda: score3_wavefront(*seqs, _DNA, mask=mask), repeats=2
+            lambda: score3_wavefront(*seqs, _DNA, tube=tube), repeats=2
         )
         assert abs(s_full - s_pruned) < 1e-9, "pruning changed the optimum!"
         kept.append(stats.kept_fraction)
         t_full_s.append(t_full)
+        t_bound_s.append(t_bound)
         t_pruned_s.append(t_pruned)
     rendered = format_series(
         f"F5 Carrillo-Lipman pruning (DNA, n~{n})",
@@ -338,6 +341,7 @@ def exp_f5(quick: bool) -> ExperimentResult:
         {
             "kept_fraction": kept,
             "t_full_s": t_full_s,
+            "t_bound_s": t_bound_s,
             "t_pruned_s": t_pruned_s,
         },
     )
@@ -487,9 +491,9 @@ def exp_a1(quick: bool) -> ExperimentResult:
         t_full, s_full = repeat_min(
             lambda: score3_wavefront(*seqs, _DNA), repeats=2
         )
-        mask, _stats = carrillo_lipman_mask(*seqs, _DNA)
+        tube, _stats = carrillo_lipman_tube(*seqs, _DNA)
         t_pruned, s_pruned = repeat_min(
-            lambda: score3_wavefront(*seqs, _DNA, mask=mask), repeats=2
+            lambda: score3_wavefront(*seqs, _DNA, tube=tube), repeats=2
         )
         t_banded, aln = repeat_min(
             lambda: align3_banded(*seqs, _DNA), repeats=2

@@ -20,8 +20,9 @@ an engine would be handed the same inputs. The digest therefore covers
   ``wavefront`` was solved and stored twice — and a run degraded from
   ``wavefront`` to ``hirschberg`` was stored under the un-degraded key.
   Callers must resolve ``auto`` (and any degradation) first, then key on
-  ``method_key_class(resolved)``; ``align3`` still probes the legacy raw
-  key on a miss so caches persisted by older releases stay warm.
+  ``method_key_class(resolved)``. Entries that older releases stored
+  under a raw method string are not consulted: a cold request costs one
+  lookup and counts one miss.
 
 Permutation equivalence
 -----------------------

@@ -67,9 +67,10 @@ def _build_parser() -> argparse.ArgumentParser:
         "--method",
         default="auto",
         help="engine for 3 sequences (auto/dp3d/wavefront/hirschberg/"
-        "pruned/banded/affine/blocks/anchored); 'auto' picks via "
-        "the --auto-policy cost model; 'anchored' discovers an anchor "
-        "chain and solves sub-cubes (long high-identity triples)",
+        "pruned/banded/affine/blocks/anchored); 'auto' estimates "
+        "pairwise identity and picks by cube size and similarity; "
+        "'anchored' discovers an anchor chain and solves sub-cubes "
+        "(long high-identity triples)",
     )
     p_align.add_argument(
         "--constraints",
@@ -84,14 +85,6 @@ def _build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="shorthand for --method anchored (automatic anchor "
         "discovery with exact fallback)",
-    )
-    p_align.add_argument(
-        "--auto-policy",
-        choices=("similarity", "cells"),
-        default="similarity",
-        help="how --method auto picks an engine: 'similarity' estimates "
-        "pairwise identity and routes similar triples to the pruned "
-        "engine; 'cells' is the legacy cube-size-only split",
     )
     p_align.add_argument(
         "--mode",
@@ -156,12 +149,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "(1 = run them inline)",
     )
     p_batch.add_argument(
-        "--auto-policy",
-        choices=("similarity", "cells"),
-        default="similarity",
-        help="engine-selection policy for method 'auto' (see 'align')",
-    )
-    p_batch.add_argument(
         "--cache-dir",
         default=None,
         metavar="DIR",
@@ -198,12 +185,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_serve.add_argument(
         "--workers", type=int, default=2,
         help="job worker processes under the batch scheduler",
-    )
-    p_serve.add_argument(
-        "--auto-policy",
-        choices=("similarity", "cells"),
-        default="similarity",
-        help="engine-selection policy for method 'auto' (see 'align')",
     )
     p_serve.add_argument(
         "--queue-depth",
@@ -664,7 +645,6 @@ def _cmd_align(args) -> int:
                         method=method,
                         workers=args.workers,
                         allow_degrade=not args.no_degrade,
-                        auto_policy=args.auto_policy,
                         constraints=constraints,
                     )
                 except ValueError as exc:
@@ -777,9 +757,7 @@ def _cmd_batch(args) -> int:
             )
 
     with _obs_session(args):
-        with BatchScheduler(
-            cache=cache, workers=args.workers, auto_policy=args.auto_policy
-        ) as sched:
+        with BatchScheduler(cache=cache, workers=args.workers) as sched:
             report = sched.run_stream(requests, emit)
 
     s = report.stats
@@ -812,7 +790,6 @@ def _cmd_serve(args) -> int:
         "cache_url": args.cache_url,
         "instance": args.instance,
         "drain_grace_s": args.drain_grace,
-        "auto_policy": args.auto_policy,
     }
     if args.batch_age_ms is not None:
         overrides["batch_max_age_s"] = args.batch_age_ms / 1000.0

@@ -10,7 +10,8 @@ Layout
 ``rolling``    score-only O(n^2)-memory engines with slab capture
 ``hirschberg`` linear-space divide-and-conquer traceback
 ``affine``     7-state quasi-natural affine-gap 3-D DP
-``bounds``     Carrillo–Lipman pruning masks
+``bounds``     Carrillo–Lipman pruning tubes (and the reference keep-mask)
+``tube``       the O(n^2) pruning-tube representation the engines take
 ``api``        the ``align3`` front door
 """
 

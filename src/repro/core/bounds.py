@@ -19,15 +19,15 @@ The closer the three sequences, the tighter the pairwise bounds hug the
 3-way optimum and the larger the pruned fraction — the divergence sweep of
 experiment F5 measures exactly this.
 
-Two representations of the kept region are offered:
-:func:`carrillo_lipman_mask` materialises the dense boolean cube
-(O(n^3) memory — diagnostics and the reference kernel's tests), while
+The engines take the kept region in one form:
 :func:`carrillo_lipman_tube` stores the per-``(i, j)`` interval hull of
 the kept ``k`` values (:class:`~repro.core.tube.PruningTube`, O(n^2)
-memory) — the form the production ``pruned`` engine feeds straight into
-the wavefront kernel's clamp machinery so pruned cells are never
-touched. The hull can only *add* cells relative to the dense mask, so
-its safety guarantee is identical.
+memory), which the wavefront kernel tests with two compares per plane so
+pruned cells are never touched. :func:`carrillo_lipman_mask` is the
+cell-by-cell reference definition of the keep-set (a dense O(n^3)
+boolean cube); it feeds only the reference kernel and the scalar DP in
+tests and diagnostics. The hull can only *add* cells relative to the
+dense mask, so its safety guarantee is identical.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ from repro.util.validation import check_sequences
 
 @dataclass
 class PruningStats:
-    """Summary of a pruning mask."""
+    """Summary of a pruning region (tube or reference mask)."""
 
     total_cells: int
     kept_cells: int

@@ -10,10 +10,11 @@ Two independent formulations are provided:
   (B, C, BC) are a 2-D lattice DP computed by 2-D anti-diagonal
   vectorisation.
 
-The slab engine exists for three reasons: it is an *independent* code path
-against which the plane engine is validated; its memory traffic is
-cache-friendlier for strongly elongated cubes; and its per-level slabs are
-exactly what the Hirschberg divide-and-conquer needs.
+The slab engine is an *independent* code path against which the plane
+engine is validated (including the Hirschberg forward/backward slabs,
+which production computes with the plane sweep's row capture, see
+:func:`forward_slab`), and its captured levels are the score cube the
+co-optimal path counter (:mod:`repro.core.countopt`) stacks.
 """
 
 from __future__ import annotations
@@ -154,35 +155,30 @@ def forward_slab(
     sc: str,
     scheme: ScoringScheme,
     level: int,
-    engine: str = "wavefront",
     workspace: PlaneWorkspace | None = None,
 ) -> np.ndarray:
     """Forward scores ``F[level, j, k]`` for all ``(j, k)``.
 
-    ``engine`` selects the implementation: ``"wavefront"`` (default; plane
-    sweep with row capture) or ``"slab"`` (this module's roll). The
-    returned slab is always freshly allocated (never a workspace view),
-    so callers may hold it across further sweeps.
+    Computed by the plane sweep with row capture
+    (:func:`repro.core.wavefront.wavefront_sweep`); :func:`slab_sweep`
+    with ``want_levels=(level,)`` is the independent formulation the
+    tests compare it against. The returned slab is always freshly
+    allocated (never a workspace view), so callers may hold it across
+    further sweeps.
     """
-    if engine == "slab":
-        return slab_sweep(
-            sa, sb, sc, scheme, want_levels=(level,), workspace=workspace
-        ).slabs[level]
-    if engine == "wavefront":
-        from repro.core.wavefront import wavefront_sweep
+    from repro.core.wavefront import wavefront_sweep
 
-        res = wavefront_sweep(
-            sa,
-            sb,
-            sc,
-            scheme,
-            score_only=True,
-            capture_level=level,
-            workspace=workspace,
-        )
-        assert res.captured_slab is not None
-        return res.captured_slab
-    raise ValueError(f"unknown engine {engine!r}")
+    res = wavefront_sweep(
+        sa,
+        sb,
+        sc,
+        scheme,
+        score_only=True,
+        capture_level=level,
+        workspace=workspace,
+    )
+    assert res.captured_slab is not None
+    return res.captured_slab
 
 
 def backward_slab(
@@ -191,7 +187,6 @@ def backward_slab(
     sc: str,
     scheme: ScoringScheme,
     level: int,
-    engine: str = "wavefront",
     workspace: PlaneWorkspace | None = None,
 ) -> np.ndarray:
     """Backward scores ``B[level, j, k]``: the optimal score of aligning the
@@ -207,7 +202,6 @@ def backward_slab(
         sc[::-1],
         scheme,
         n1 - level,
-        engine=engine,
         workspace=workspace,
     )
     return rev[::-1, ::-1].copy()

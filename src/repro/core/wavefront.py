@@ -41,13 +41,23 @@ six candidates and accumulates the running max directly into the output
 plane (``max`` commutes exactly with adding a constant in float64, so
 values are unchanged).
 
-With a workspace supplied, the unmasked hot path performs **zero** array
+With a workspace supplied, the unpruned hot path performs **zero** array
 allocations per plane; results stay bit-identical to the original
 allocating kernel, which is kept verbatim as
 :func:`compute_plane_rows_ref` for A/B benchmarking
 (``benchmarks/bench_kernel.py``) and the bit-identity tests
-(``tests/test_workspace.py``). The masked (Carrillo–Lipman) path may
-allocate a few O(row)/O(col) temporaries while tightening the live box.
+(``tests/test_workspace.py``). The tube-pruned (Carrillo–Lipman) path
+may allocate a few O(row)/O(col) temporaries while tightening the live
+box.
+
+Pruning has one representation here: a
+:class:`~repro.core.tube.PruningTube` of per-``(i, j)`` ``k`` intervals.
+The dense boolean keep-cube survives only as a reference definition
+(:func:`repro.core.bounds.carrillo_lipman_mask`, the ``mask=`` of
+:func:`compute_plane_rows_ref` and :func:`repro.core.dp3d.dp3d_matrix`),
+which the tests compare the tube path against through
+:meth:`~repro.core.tube.PruningTube.from_mask` /
+:meth:`~repro.core.tube.PruningTube.dense_mask`.
 """
 
 from __future__ import annotations
@@ -176,7 +186,6 @@ def compute_plane_rows(
     g2: float,
     dims: tuple[int, int, int],
     move_cube: np.ndarray | None = None,
-    mask: np.ndarray | None = None,
     ws: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
 ) -> int:
@@ -209,10 +218,6 @@ def compute_plane_rows(
     move_cube:
         Optional int8 cube ``(n1+1, n2+1, n3+1)``; argmax moves are scattered
         into it for traceback.
-    mask:
-        Optional boolean cube; cells that are False are pruned (kept at
-        ``NEG``). O(n^3) memory — kept for diagnostics and arbitrary
-        (non-interval) keep-sets; production pruning passes ``tube``.
     ws:
         Scratch workspace; one per concurrently-running worker. When
         None a transient workspace is built (correct but allocating —
@@ -222,8 +227,7 @@ def compute_plane_rows(
         keep-intervals of ``k`` in O(n^2) memory. The validity test is
         two compares against sliced interval views (its intervals are
         clamped to ``[0, n3]``, so it subsumes the cube-bounds check),
-        and the live box is tightened exactly as for ``mask``.
-        Mutually exclusive with ``mask``.
+        and the computed box is tightened to the tube's live cells.
 
     Returns
     -------
@@ -245,9 +249,7 @@ def compute_plane_rows(
     if d == 0:
         # Only the origin exists; it has no predecessors. (Its box is
         # the single cell (0, 0) whenever this call covers row 0.)
-        origin_kept = (mask is None or bool(mask[0, 0, 0])) and (
-            tube is None or tube.contains(0, 0, 0)
-        )
+        origin_kept = tube is None or tube.contains(0, 0, 0)
         if row_lo == 0 and jlo == 0 and origin_kept:
             out[1, 1] = 0.0
             return 1
@@ -264,7 +266,6 @@ def compute_plane_rows(
         kc,
         valid,
         tmp,
-        fi,
         fi2,
         gv2,
         c,
@@ -292,10 +293,10 @@ def compute_plane_rows(
         np.maximum(K, 0, out=kc)
         np.minimum(kc, n3, out=kc)
     all_valid = kc is K
-    pruned = mask is not None or tube is not None
+    pruned = tube is not None
     fast = move_cube is None and not pruned
     if fast:
-        # Score-only, unmasked: only the *invalid* cells are ever
+        # Score-only, unpruned: only the *invalid* cells are ever
         # needed (NEG write-back and the complement count).
         if not all_valid:
             np.not_equal(K, kc, out=tmp)
@@ -312,14 +313,9 @@ def compute_plane_rows(
         valid &= tmp
     else:
         np.equal(K, kc, out=valid)
-        if mask is not None:
-            # Gather mask[i, j, kc] through a flat index buffer.
-            np.add(ws.m0[row_lo : row_hi + 1, jlo : jhi + 1], kc, out=fi)
-            _flat(mask).take(fi, out=tmp)
-            valid &= tmp
 
     if pruned:
-        # Tighten the computed box to the mask's live cells: with aggressive
+        # Tighten the computed box to the tube's live cells: with aggressive
         # Carrillo–Lipman pruning the live region is a thin tube around the
         # main diagonal, so this is where the pruning speedup comes from.
         # (The full row range was already reset to NEG above, so skipped
@@ -442,7 +438,7 @@ def compute_plane_rows(
         _scatter_moves(move_cube, mv, valid, K, d, row_lo, jlo, dims)
 
     if not pruned:
-        # Unmasked traceback sweep: validity is still the pure band
+        # Unpruned traceback sweep: validity is still the pure band
         # condition, so the closed-form count applies here too.
         return _band_count(kmax, h, w) - _band_count(kmax - n3 - 1, h, w)
     return int(np.count_nonzero(valid))
@@ -605,7 +601,6 @@ def wavefront_sweep(
     sc: str,
     scheme: ScoringScheme,
     score_only: bool = False,
-    mask: np.ndarray | None = None,
     capture_level: int | None = None,
     workspace: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
@@ -616,11 +611,10 @@ def wavefront_sweep(
     ----------
     score_only:
         Skip move-cube storage; memory drops from O(n^3) to O(n^2).
-    mask:
-        Optional Carrillo–Lipman pruning cube (see :mod:`repro.core.bounds`).
     tube:
         Optional O(n^2) :class:`~repro.core.tube.PruningTube` keep-region
-        (the production pruning path); mutually exclusive with ``mask``.
+        (see :func:`repro.core.bounds.carrillo_lipman_tube` and
+        :func:`repro.core.band.band_tube`); cells outside it are pruned.
     capture_level:
         When given, collect the full slab ``F[capture_level, j, k]`` during
         the sweep (used by the Hirschberg divide-and-conquer, which needs
@@ -639,10 +633,6 @@ def wavefront_sweep(
             "use repro.core.affine for affine gaps"
         )
     n1, n2, n3 = len(sa), len(sb), len(sc)
-    if mask is not None and tube is not None:
-        raise ValueError("mask and tube are mutually exclusive")
-    if mask is not None and mask.shape != (n1 + 1, n2 + 1, n3 + 1):
-        raise ValueError(f"mask shape {mask.shape} does not match cube")
     if tube is not None and tube.shape != (n1 + 1, n2 + 1, n3 + 1):
         raise ValueError(f"tube shape {tube.shape} does not match cube")
     if capture_level is not None and not 0 <= capture_level <= n1:
@@ -700,7 +690,6 @@ def wavefront_sweep(
             g2,
             dims,
             move_cube=move_cube,
-            mask=mask,
             ws=ws,
             tube=tube,
         )
@@ -753,7 +742,6 @@ def align3_wavefront(
     sb: str,
     sc: str,
     scheme: ScoringScheme,
-    mask: np.ndarray | None = None,
     workspace: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
 ) -> Alignment3:
@@ -767,13 +755,12 @@ def align3_wavefront(
             sc,
             scheme,
             score_only=False,
-            mask=mask,
             workspace=workspace,
             tube=tube,
         )
     if res.score <= NEG / 2:
         raise RuntimeError(
-            "terminal cell unreachable (over-aggressive pruning mask?)"
+            "terminal cell unreachable (over-aggressive pruning tube?)"
         )
     assert res.move_cube is not None
     with _trace.span("wavefront.traceback"):
@@ -793,7 +780,6 @@ def score3_wavefront(
     sb: str,
     sc: str,
     scheme: ScoringScheme,
-    mask: np.ndarray | None = None,
     workspace: PlaneWorkspace | None = None,
     tube: PruningTube | None = None,
 ) -> float:
@@ -804,7 +790,6 @@ def score3_wavefront(
         sc,
         scheme,
         score_only=True,
-        mask=mask,
         workspace=workspace,
         tube=tube,
     ).score

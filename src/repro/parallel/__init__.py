@@ -24,10 +24,8 @@ from repro.parallel.partition import (
     split_range,
     split_cyclic,
     balanced_blocks,
-    active_workers,
     band_depth,
     block_predecessors,
-    max_plane_rows,
     plane_bands,
     plane_window,
     row_slabs,
@@ -39,10 +37,8 @@ __all__ = [
     "split_range",
     "split_cyclic",
     "balanced_blocks",
-    "active_workers",
     "band_depth",
     "block_predecessors",
-    "max_plane_rows",
     "plane_bands",
     "plane_window",
     "row_slabs",

@@ -76,29 +76,6 @@ def balanced_blocks(total: int, block: int) -> list[tuple[int, int]]:
 # one-directional: downward).
 
 
-def max_plane_rows(dims: tuple[int, int, int]) -> int:
-    """Row count of the widest anti-diagonal plane of the cube.
-
-    Plane ``d`` spans rows ``max(0, d - n2 - n3) .. min(n1, d)``; the
-    widest plane has ``min(n1, n2 + n3) + 1`` rows — the most workers a
-    per-plane row split can ever feed.
-    """
-    n1, n2, n3 = dims
-    return min(n1, n2 + n3) + 1
-
-
-def active_workers(dims: tuple[int, int, int], workers: int) -> int:
-    """Workers that ever receive a non-empty per-plane row slice.
-
-    ``split_range`` pads with empty ``(x, x-1)`` chunks when a plane has
-    fewer rows than workers; a worker beyond :func:`max_plane_rows` gets
-    an empty chunk on *every* plane and would only pay synchronisation
-    cost.
-    """
-    check_positive("workers", workers)
-    return max(1, min(workers, max_plane_rows(dims)))
-
-
 def row_slabs(n1: int, workers: int) -> list[tuple[int, int]]:
     """Fixed contiguous row slabs for the block-tiled engines.
 

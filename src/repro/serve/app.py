@@ -266,7 +266,6 @@ class AlignServer(JsonHttpServer):
         self.scheduler = scheduler or BatchScheduler(
             cache=self.cache,
             workers=self.config.workers,
-            auto_policy=self.config.auto_policy,
         )
         self.admission = AdmissionController(
             max_queued_requests=self.config.queue_depth,

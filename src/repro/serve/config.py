@@ -55,10 +55,6 @@ class ServeConfig:
     #: Optional shared cache service (``host:port``) queried on local
     #: misses and populated on puts — the tier replicas share.
     cache_url: str | None = None
-    #: How ``method="auto"`` requests pick an engine: ``"similarity"``
-    #: (identity cost model; routes similar triples to the pruned
-    #: engine) or the legacy ``"cells"`` cube-size split.
-    auto_policy: str = "similarity"
 
     # Admission control / backpressure.
     queue_depth: int = 256
@@ -104,12 +100,5 @@ class ServeConfig:
         if self.drain_grace_s < 0:
             raise ValueError(
                 f"drain_grace_s must be >= 0, got {self.drain_grace_s}"
-            )
-        from repro.core.api import AUTO_POLICIES
-
-        if self.auto_policy not in AUTO_POLICIES:
-            raise ValueError(
-                f"auto_policy must be one of {AUTO_POLICIES}, "
-                f"got {self.auto_policy!r}"
             )
         return self

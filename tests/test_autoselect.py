@@ -96,27 +96,46 @@ class TestSelectMethod:
         assert method == "hirschberg"
 
     def test_cells_policy_is_legacy_split(self, dna_scheme):
+        # The legacy cells-only policy is gone: select_method has one
+        # cost model and takes no policy, by keyword or position.
         seqs = self._triple(100, 0.01)
-        method, sel = select_method(*seqs, dna_scheme, policy="cells")
-        assert method == "wavefront"
-        assert sel["policy"] == "cells"
-        assert "identity" not in sel
+        with pytest.raises(TypeError):
+            select_method(*seqs, dna_scheme, policy="cells")
+        with pytest.raises(TypeError):
+            select_method(*seqs, dna_scheme, "cells")
+        method, sel = select_method(*seqs, dna_scheme)
+        assert method == "banded"
+        assert "policy" not in sel and "identity" in sel
 
     def test_unknown_policy_rejected(self, dna_scheme):
-        with pytest.raises(ValueError, match="auto_policy"):
+        with pytest.raises(TypeError):
             select_method("A", "C", "G", dna_scheme, policy="nope")
+        from repro.core import api
+
+        assert not hasattr(api, "AUTO_POLICIES")
 
     def test_align3_records_selection(self, dna_scheme):
         seqs = self._triple(70, 0.02)
         aln = align3(*seqs, dna_scheme, method="auto")
         auto = aln.meta["auto"]
-        assert auto["policy"] == "similarity"
+        assert "policy" not in auto
         assert "reason" in auto and "cells" in auto
 
     def test_align3_cells_policy(self, dna_scheme):
+        from repro.anchor import align3_chain
+        from repro.batch import BatchScheduler, run_batch
+        from repro.serve import ServeConfig
+
         seqs = self._triple(70, 0.02)
-        aln = align3(*seqs, dna_scheme, method="auto", auto_policy="cells")
-        assert aln.meta["auto"]["policy"] == "cells"
+        for call in (
+            lambda: align3(*seqs, dna_scheme, auto_policy="cells"),
+            lambda: align3_chain(*seqs, dna_scheme, auto_policy="cells"),
+            lambda: BatchScheduler(auto_policy="cells"),
+            lambda: run_batch([seqs], workers=1, auto_policy="cells"),
+            lambda: ServeConfig(auto_policy="cells"),
+        ):
+            with pytest.raises(TypeError, match="auto_policy"):
+                call()
 
 
 class TestMethodKeyClass:
@@ -153,12 +172,35 @@ class TestCacheAliasing:
         cache = ResultCache(cache_dir=tmp_path)
         cache.put(legacy_key, cold)
         assert cache.get(class_key) is None
-        # An auto request misses the class key, probes the legacy raw
-        # key, and re-homes the entry under the class key.
-        hit = align3(*seqs, dna_scheme, method="auto", cache=cache)
-        assert hit.meta["cache"]["hit"] is True
-        assert hit.score == cold.score
+        misses = cache.stats.misses
+        # An auto request looks up the class key only: the raw-method
+        # entry is not served, the triple is computed and stored under
+        # the class key, and the lookup counts one miss.
+        got = align3(*seqs, dna_scheme, method="auto", cache=cache)
+        assert got.meta["cache"]["hit"] is False
+        assert got.score == cold.score
+        assert cache.stats.misses == misses + 1
         assert cache.get(class_key) is not None
+
+    def test_cold_request_counts_one_miss(self, dna_scheme):
+        from repro.batch import AlignmentRequest, BatchScheduler
+
+        seqs = mutated_family(25, seed=23)
+        cache = ResultCache()
+        align3(*seqs, dna_scheme, cache=cache)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 0)
+        align3(*seqs, dna_scheme, cache=cache)
+        assert (cache.stats.misses, cache.stats.hits) == (1, 1)
+        # Three distinct auto requests in one batch: one miss each.
+        cache = ResultCache()
+        reqs = [
+            AlignmentRequest(seqs=tuple(mutated_family(20, seed=s)))
+            for s in (31, 32, 33)
+        ]
+        with BatchScheduler(cache=cache, workers=1) as sched:
+            report = sched.run(reqs)
+        assert report.stats.computed == 3
+        assert cache.stats.misses == 3
 
     def test_distinct_triples_do_not_collide(self, dna_scheme, tmp_path):
         cache = ResultCache(cache_dir=tmp_path)

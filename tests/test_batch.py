@@ -538,9 +538,7 @@ class TestJobWorkers:
         # Inline, every call is visible: the engines never re-resolve.
         report = run_batch(reqs, workers=1)
         assert len(calls) == distinct_auto
-        assert report.results[0].alignment.meta["auto"]["policy"] == (
-            "similarity"
-        )
+        assert "reason" in report.results[0].alignment.meta["auto"]
         # Fanned out, this process resolves each distinct request once.
         calls.clear()
         report = run_batch(reqs, workers=2)

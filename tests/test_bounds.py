@@ -8,9 +8,23 @@ from repro.core.bounds import (
     heuristic_lower_bound,
     pairwise_upper_bound,
 )
-from repro.core.dp3d import score3_dp3d
+from repro.core.dp3d import dp3d_matrix, score3_dp3d
 from repro.core.traceback import path_cells
-from repro.core.wavefront import align3_wavefront, score3_wavefront
+from repro.core.tube import PruningTube
+from repro.core.wavefront import align3_wavefront, wavefront_sweep
+
+
+def _pruned_sweep(seqs, scheme, mask):
+    """Sweep with the tube of a Carrillo–Lipman keep-mask and check it
+    against the scalar DP on the tube's dense keep-set: equal score, and
+    the sweep evaluates exactly the kept cells."""
+    tube = PruningTube.from_mask(mask)
+    dense = tube.dense_mask()
+    res = wavefront_sweep(*seqs, scheme, score_only=True, tube=tube)
+    D, _ = dp3d_matrix(*seqs, scheme, mask=dense)
+    assert res.score == float(D[tuple(len(s) for s in seqs)])
+    assert res.cells_computed == int(dense.sum())
+    return res
 from repro.seqio.generate import MutationModel, mutated_family
 
 
@@ -34,8 +48,8 @@ class TestMask:
         for triple in small_triples:
             mask, _ = carrillo_lipman_mask(*triple, dna_scheme)
             full = score3_dp3d(*triple, dna_scheme)
-            pruned = score3_wavefront(*triple, dna_scheme, mask=mask)
-            assert pruned == pytest.approx(full), triple
+            pruned = _pruned_sweep(triple, dna_scheme, mask).score
+            assert pruned == full, triple
 
     def test_optimal_path_cells_all_kept(self, dna_scheme, family_small):
         aln = align3_wavefront(*family_small, dna_scheme)
@@ -59,8 +73,8 @@ class TestMask:
             *family_small, dna_scheme, lower_bound=opt
         )
         assert stats2.kept_cells <= stats.kept_cells
-        pruned = score3_wavefront(*family_small, dna_scheme, mask=mask2)
-        assert pruned == pytest.approx(opt)
+        pruned = _pruned_sweep(family_small, dna_scheme, mask2).score
+        assert pruned == opt
 
     def test_slack_keeps_more_cells(self, dna_scheme, family_small):
         _, tight = carrillo_lipman_mask(*family_small, dna_scheme)
@@ -98,10 +112,8 @@ class TestPruningEffectiveness:
         assert stats.pruned_fraction == pytest.approx(1 - stats.kept_fraction)
 
     def test_pruned_cells_actually_skipped(self, dna_scheme, family_small):
-        from repro.core.wavefront import wavefront_sweep
-
         mask, stats = carrillo_lipman_mask(*family_small, dna_scheme)
-        res = wavefront_sweep(
-            *family_small, dna_scheme, score_only=True, mask=mask
-        )
-        assert res.cells_computed == stats.kept_cells
+        res = _pruned_sweep(family_small, dna_scheme, mask)
+        # The tube evaluates its interval hull: the mask's cells plus any
+        # holes along k, never fewer, and far fewer than the cube.
+        assert stats.kept_cells <= res.cells_computed < stats.total_cells

@@ -447,6 +447,21 @@ class TestCliDocDrift:
         )
 
 
+class TestRemovedAutoPolicy:
+    """``--auto-policy`` is gone from every subcommand: argparse rejects
+    the flag with exit code 2 before any work starts."""
+
+    @pytest.mark.parametrize("command", ["align", "batch", "serve"])
+    def test_auto_policy_flag_exits_2(self, command, tmp_path, capsys):
+        path = tmp_path / "in.fasta"
+        path.write_text(">a\nGATTACA\n>b\nGATCA\n>c\nGATTA\n")
+        argv = [command] + ([str(path)] if command != "serve" else [])
+        with pytest.raises(SystemExit) as exc:
+            main(argv + ["--auto-policy", "cells"])
+        assert exc.value.code == 2
+        assert "--auto-policy" in capsys.readouterr().err
+
+
 class TestServeCli:
     def test_bad_config_rejected(self, capsys):
         assert main(["serve", "--port", "-2"]) == 2

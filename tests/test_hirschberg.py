@@ -1,5 +1,6 @@
 """Unit tests for the 3-D Hirschberg engine (repro.core.hirschberg)."""
 
+import numpy as np
 import pytest
 
 from repro.core.dp3d import score3_dp3d
@@ -8,6 +9,7 @@ from repro.core.hirschberg import (
     align3_hirschberg,
     memory_estimate_bytes,
 )
+from repro.core.rolling import slab_sweep
 
 
 class TestOptimality:
@@ -27,10 +29,26 @@ class TestOptimality:
 
     @pytest.mark.parametrize("engine", ["wavefront", "slab"])
     def test_both_slab_backends(self, engine, family_small, dna_scheme):
-        aln = align3_hirschberg(
-            *family_small, dna_scheme, base_cells=100, engine=engine
-        )
-        assert aln.score == pytest.approx(score3_dp3d(*family_small, dna_scheme))
+        aln = align3_hirschberg(*family_small, dna_scheme, base_cells=100)
+        opt = score3_dp3d(*family_small, dna_scheme)
+        assert aln.score == pytest.approx(opt)
+        if engine == "slab":
+            # The splits come from the plane sweep's row capture; certify
+            # the first one with the independent rolling slab engine: the
+            # chosen crossing's forward + backward score is the optimum.
+            axis0 = int(np.argmax([len(s) for s in family_small]))
+            ps = [family_small[axis0]] + [
+                s for x, s in enumerate(family_small) if x != axis0
+            ]
+            mid, j, k = aln.meta["splits"][0]
+            n1 = len(ps[0])
+            fwd = slab_sweep(*ps, dna_scheme, want_levels=(mid,)).slabs[mid]
+            rev = slab_sweep(
+                *(s[::-1] for s in ps), dna_scheme, want_levels=(n1 - mid,)
+            ).slabs[n1 - mid]
+            bwd = rev[::-1, ::-1]
+            assert fwd[j, k] + bwd[j, k] == pytest.approx(opt)
+            assert (fwd + bwd).max() == pytest.approx(opt)
 
     def test_unbalanced_lengths(self, dna_scheme):
         # Longest sequence must be rotated to the split axis.

@@ -3,11 +3,9 @@
 import pytest
 
 from repro.parallel.partition import (
-    active_workers,
     balanced_blocks,
     band_depth,
     block_predecessors,
-    max_plane_rows,
     plane_bands,
     plane_window,
     row_slabs,
@@ -86,24 +84,33 @@ class TestBalancedBlocks:
 
 
 class TestPlaneGeometry:
+    """``row_slabs`` bounds the executor's worker count: one slab per
+    worker that has rows, ``len(row_slabs(n1, w)) == min(w, n1 + 1)``."""
+
     def test_max_plane_rows_small_first_dim(self):
-        # Widest plane is bounded by n1 when n1 is the short axis.
-        assert max_plane_rows((3, 10, 10)) == 4
+        # Short first axis: one single-row slab per row, however many
+        # workers are offered.
+        assert row_slabs(3, 64) == [(0, 0), (1, 1), (2, 2), (3, 3)]
 
     def test_max_plane_rows_large_first_dim(self):
-        # ...and by n2 + n3 when it is the long one.
-        assert max_plane_rows((50, 2, 3)) == 6
+        # Long first axis: every worker gets a slab, sizes within one.
+        slabs = row_slabs(50, 3)
+        assert len(slabs) == 3
+        sizes = [hi - lo + 1 for lo, hi in slabs]
+        assert sum(sizes) == 51 and max(sizes) - min(sizes) <= 1
 
     def test_active_workers_clamped_to_widest_plane(self):
-        assert active_workers((3, 10, 10), 64) == 4
-        assert active_workers((3, 10, 10), 2) == 2
+        for n1 in range(6):
+            for workers in range(1, 9):
+                assert len(row_slabs(n1, workers)) == min(workers, n1 + 1)
 
     def test_active_workers_at_least_one(self):
-        assert active_workers((0, 0, 0), 8) == 1
+        assert len(row_slabs(0, 8)) == 1
 
     def test_active_workers_validates(self):
-        with pytest.raises(ValueError):
-            active_workers((3, 3, 3), 0)
+        for workers in (0, -2):
+            with pytest.raises(ValueError, match="workers"):
+                row_slabs(3, workers)
 
 
 class TestRowSlabs:

@@ -4,11 +4,16 @@ arbitrary inputs, and structural invariants hold for arbitrary alignments."""
 import numpy as np
 from hypothesis import given, settings, strategies as st
 
-from repro.core.dp3d import score3_dp3d
+from repro.core.dp3d import dp3d_matrix, score3_dp3d
 from repro.core.hirschberg import align3_hirschberg
 from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
-from repro.core.wavefront import align3_wavefront, score3_wavefront
+from repro.core.tube import PruningTube
+from repro.core.wavefront import (
+    align3_wavefront,
+    score3_wavefront,
+    wavefront_sweep,
+)
 from repro.parallel.blocks import score3_blocks
 from repro.seqio.alphabet import DNA
 from tests.reference.bruteforce import memo_optimal_score
@@ -82,8 +87,13 @@ def test_random_pruning_mask_never_beats_optimum(seqs, seed):
     mask = rng.random(shape) < 0.8
     mask[0, 0, 0] = True
     mask[tuple(len(s) for s in seqs)] = True
-    pruned = score3_wavefront(*seqs, SCHEME, mask=mask)
-    assert pruned <= full + 1e-9
+    tube = PruningTube.from_mask(mask)
+    dense = tube.dense_mask()
+    res = wavefront_sweep(*seqs, SCHEME, score_only=True, tube=tube)
+    D, _ = dp3d_matrix(*seqs, SCHEME, mask=dense)
+    assert res.score == float(D[tuple(len(s) for s in seqs)])
+    assert res.cells_computed == int(dense.sum())
+    assert res.score <= full + 1e-9
 
 
 @settings(**COMMON)

@@ -52,15 +52,28 @@ class TestSlabCapture:
 class TestForwardBackwardSlabs:
     @pytest.mark.parametrize("engine", ["wavefront", "slab"])
     def test_engines_agree(self, engine, dna_scheme, family_small):
+        # forward_slab (the plane sweep's row capture) and the rolling
+        # slab_sweep each match the reference cube's level.
         sa, sb, sc = family_small
         mid = len(sa) // 2
-        ref = forward_slab(sa, sb, sc, dna_scheme, mid, engine="slab")
-        got = forward_slab(sa, sb, sc, dna_scheme, mid, engine=engine)
-        np.testing.assert_allclose(got, ref, atol=1e-9)
+        D_ref, _ = dp3d_matrix(sa, sb, sc, dna_scheme)
+        if engine == "wavefront":
+            got = forward_slab(sa, sb, sc, dna_scheme, mid)
+        else:
+            got = slab_sweep(sa, sb, sc, dna_scheme, want_levels=(mid,))
+            got = got.slabs[mid]
+        np.testing.assert_allclose(got, D_ref[mid], atol=1e-9)
 
     def test_unknown_engine(self, dna_scheme):
-        with pytest.raises(ValueError, match="unknown engine"):
-            forward_slab("A", "A", "A", dna_scheme, 0, engine="bogus")
+        # The slab backend is no longer selectable: engine= is rejected.
+        with pytest.raises(TypeError):
+            forward_slab("A", "A", "A", dna_scheme, 0, engine="slab")
+        with pytest.raises(TypeError):
+            backward_slab("A", "A", "A", dna_scheme, 0, engine="slab")
+        from repro.core.hirschberg import align3_hirschberg
+
+        with pytest.raises(TypeError):
+            align3_hirschberg("A", "A", "A", dna_scheme, engine="slab")
 
     def test_forward_plus_backward_attains_optimum(
         self, dna_scheme, family_small

@@ -3,13 +3,31 @@
 import numpy as np
 import pytest
 
-from repro.core.dp3d import dp3d_matrix, score3_dp3d
+from repro.core.dp3d import NEG, align3_dp3d, dp3d_matrix, score3_dp3d
+from repro.core.tube import PruningTube
 from repro.core.wavefront import (
     align3_wavefront,
     plane_bounds,
     score3_wavefront,
     wavefront_sweep,
 )
+
+
+def _tube_sweep_matches_dp3d(seqs, scheme, tube):
+    """Sweep with ``tube`` and check it against the scalar DP on the
+    tube's dense keep-set: equal score, cell count equal to the kept
+    cells and, when the terminal is reachable, equal rows. Returns the
+    score."""
+    dense = tube.dense_mask()
+    res = wavefront_sweep(*seqs, scheme, tube=tube)
+    D, _ = dp3d_matrix(*seqs, scheme, mask=dense)
+    expected = float(D[tuple(len(s) for s in seqs)])
+    assert res.score == expected
+    assert res.cells_computed == int(dense.sum())
+    if expected > NEG / 2:
+        got = align3_wavefront(*seqs, scheme, tube=tube)
+        assert got.rows == align3_dp3d(*seqs, scheme, mask=dense).rows
+    return res.score
 
 
 class TestPlaneBounds:
@@ -106,9 +124,15 @@ class TestSweepOptions:
             )
 
     def test_mask_shape_validated(self, dna_scheme):
-        with pytest.raises(ValueError, match="mask"):
+        # The tube is the only pruning form; a tube for another cube is
+        # rejected before the sweep starts.
+        with pytest.raises(ValueError, match="tube shape"):
             wavefront_sweep(
-                "AC", "A", "A", dna_scheme, mask=np.ones((1, 1, 1), bool)
+                "AC", "A", "A", dna_scheme, tube=PruningTube.full((1, 1, 1))
+            )
+        with pytest.raises(TypeError):
+            wavefront_sweep(
+                "AC", "A", "A", dna_scheme, mask=np.ones((3, 2, 2), bool)
             )
 
 
@@ -134,17 +158,23 @@ class TestAlignment:
     def test_pruned_unreachable_raises(self, dna_scheme):
         mask = np.zeros((3, 3, 3), dtype=bool)
         mask[0, 0, 0] = mask[2, 2, 2] = True
+        tube = PruningTube.from_mask(mask)
         with pytest.raises(RuntimeError, match="unreachable"):
-            align3_wavefront("AC", "AG", "AT", dna_scheme, mask=mask)
+            align3_wavefront("AC", "AG", "AT", dna_scheme, tube=tube)
+        with pytest.raises(RuntimeError, match="unreachable"):
+            align3_dp3d("AC", "AG", "AT", dna_scheme, mask=tube.dense_mask())
 
 
 class TestMaskedSweep:
+    """Tube-pruned sweeps against the scalar DP on the same keep-set."""
+
     def test_full_true_mask_is_identity(self, dna_scheme, family_small):
         n1, n2, n3 = (len(s) for s in family_small)
         mask = np.ones((n1 + 1, n2 + 1, n3 + 1), dtype=bool)
-        assert score3_wavefront(*family_small, dna_scheme, mask=mask) == (
-            pytest.approx(score3_wavefront(*family_small, dna_scheme))
-        )
+        tube = PruningTube.from_mask(mask)
+        assert tube.covers_cube
+        got = _tube_sweep_matches_dp3d(family_small, dna_scheme, tube)
+        assert got == score3_wavefront(*family_small, dna_scheme)
 
     def test_mask_restricted_to_optimal_path_still_finds_it(
         self, dna_scheme, family_small
@@ -156,8 +186,9 @@ class TestMaskedSweep:
         mask = np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=bool)
         for cell in path_cells(aln.moves()):
             mask[cell] = True
-        got = score3_wavefront(*family_small, dna_scheme, mask=mask)
-        assert got == pytest.approx(aln.score)
+        tube = PruningTube.from_mask(mask)
+        got = _tube_sweep_matches_dp3d(family_small, dna_scheme, tube)
+        assert got == aln.score
 
     def test_random_masks_never_beat_optimum(self, dna_scheme):
         rng = np.random.default_rng(0)
@@ -166,5 +197,6 @@ class TestMaskedSweep:
         for _ in range(10):
             mask = rng.random((6, 4, 5)) < 0.7
             mask[0, 0, 0] = mask[5, 3, 4] = True
-            got = score3_wavefront(sa, sb, sc, dna_scheme, mask=mask)
+            tube = PruningTube.from_mask(mask)
+            got = _tube_sweep_matches_dp3d((sa, sb, sc), dna_scheme, tube)
             assert got <= full + 1e-9

@@ -4,7 +4,7 @@ The zero-allocation kernel slices every buffer out of one grow-only
 :class:`PlaneWorkspace`, so the risk it introduces is *stale state*: a
 sweep over a small cube reading garbage a bigger previous sweep left in
 the shared scratch. These tests hammer heterogeneous shapes — skewed
-cubes, empty sequences, masked/pruned sweeps — through a single
+cubes, empty sequences, tube-pruned sweeps — through a single
 workspace and assert every result is bit-identical to (a) a
 fresh-workspace run and (b) the frozen pre-workspace reference kernel
 :func:`repro.core.wavefront.compute_plane_rows_ref`.
@@ -13,9 +13,12 @@ fresh-workspace run and (b) the frozen pre-workspace reference kernel
 import numpy as np
 import pytest
 
+from repro.core.band import band_tube
+from repro.core.bounds import carrillo_lipman_tube
 from repro.core.dp3d import NEG
 from repro.core.hirschberg import align3_hirschberg
 from repro.core.rolling import backward_slab, forward_slab, slab_sweep
+from repro.core.tube import PruningTube
 from repro.core.wavefront import (
     align3_wavefront,
     compute_plane_rows,
@@ -24,6 +27,7 @@ from repro.core.wavefront import (
 )
 from repro.core.workspace import PlaneWorkspace
 from repro.parallel.executor import fork_available
+from repro.seqio.generate import MutationModel, mutated_family
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -60,9 +64,11 @@ def _random_mask(rng, shape, density=0.7):
     return mask
 
 
-def _run_kernel(kernel, seqs, scheme, mask=None, score_only=False, ws=None):
+def _run_kernel(kernel, seqs, scheme, score_only=False, ws=None, **prune):
     """Drive a full sweep through ``kernel`` plane by plane, returning
-    every plane buffer state plus the move cube."""
+    every plane buffer state, the move cube and the per-plane cell
+    counts. ``prune`` is the kernel's pruning keyword: ``tube=`` for
+    :func:`compute_plane_rows`, ``mask=`` for the reference kernel."""
     n1, n2, n3 = (len(s) for s in seqs)
     sab, sac, sbc = scheme.profile_matrices(*seqs)
     g2 = 2.0 * scheme.gap
@@ -73,11 +79,11 @@ def _run_kernel(kernel, seqs, scheme, mask=None, score_only=False, ws=None):
         if score_only
         else np.zeros((n1 + 1, n2 + 1, n3 + 1), dtype=np.int8)
     )
-    kwargs = {} if ws is None else {"ws": ws}
-    plane_states = []
+    kwargs = dict(prune) if ws is None else dict(prune, ws=ws)
+    plane_states, cells = [], []
     for d in range(n1 + n2 + n3 + 1):
         out = planes[d % 4]
-        kernel(
+        cells.append(kernel(
             d,
             0,
             n1,
@@ -91,11 +97,29 @@ def _run_kernel(kernel, seqs, scheme, mask=None, score_only=False, ws=None):
             g2,
             dims,
             move_cube=move_cube,
-            mask=mask,
             **kwargs,
-        )
+        ))
         plane_states.append(out.copy())
-    return plane_states, move_cube
+    return plane_states, move_cube, cells
+
+
+def _assert_tube_matches_ref(seqs, scheme, tube, ws, score_only=False):
+    """The tube kernel vs the reference kernel on the tube's dense
+    keep-set: every plane, the move cube and every plane's cell count."""
+    ref_planes, ref_mc, ref_cells = _run_kernel(
+        compute_plane_rows_ref, seqs, scheme, score_only=score_only,
+        mask=tube.dense_mask(),
+    )
+    got_planes, got_mc, got_cells = _run_kernel(
+        compute_plane_rows, seqs, scheme, score_only=score_only, ws=ws,
+        tube=tube,
+    )
+    shape = tuple(len(s) for s in seqs)
+    for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
+        assert np.array_equal(a, b), f"plane {d} differs at {shape}"
+    if not score_only:
+        assert np.array_equal(ref_mc, got_mc), f"moves differ at {shape}"
+    assert got_cells == ref_cells, f"cell counts differ at {shape}"
 
 
 class TestKernelBitIdentity:
@@ -106,10 +130,10 @@ class TestKernelBitIdentity:
         ws = PlaneWorkspace()
         for shape in SHAPES:
             seqs = _random_triple(rng, shape)
-            ref_planes, ref_mc = _run_kernel(
+            ref_planes, ref_mc, _ = _run_kernel(
                 compute_plane_rows_ref, seqs, dna_scheme
             )
-            got_planes, got_mc = _run_kernel(
+            got_planes, got_mc, _ = _run_kernel(
                 compute_plane_rows, seqs, dna_scheme, ws=ws
             )
             for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
@@ -117,62 +141,70 @@ class TestKernelBitIdentity:
             assert np.array_equal(ref_mc, got_mc), f"moves differ at {shape}"
 
     def test_masked_sweeps_one_workspace(self, dna_scheme):
+        # Random keep-sets at several densities, as tubes (their interval
+        # hulls), through one workspace in both sweep modes.
         rng = np.random.default_rng(11)
         ws = PlaneWorkspace()
+        for density in (0.1, 0.7):
+            for shape in SHAPES:
+                seqs = _random_triple(rng, shape)
+                tube = PruningTube.from_mask(
+                    _random_mask(rng, shape, density)
+                )
+                for score_only in (False, True):
+                    _assert_tube_matches_ref(
+                        seqs, dna_scheme, tube, ws, score_only=score_only
+                    )
+        # The production tube builders, through the same workspace:
+        # scaled-diagonal bands and Carrillo–Lipman tubes of related
+        # triples at three divergences.
         for shape in SHAPES:
             seqs = _random_triple(rng, shape)
-            mask = _random_mask(rng, shape)
-            ref_planes, ref_mc = _run_kernel(
-                compute_plane_rows_ref, seqs, dna_scheme, mask=mask
+            _assert_tube_matches_ref(seqs, dna_scheme, band_tube(*shape, 2), ws)
+        for scale in (0.5, 2.0, 8.0):
+            seqs = mutated_family(
+                14, model=MutationModel().scaled(scale), seed=5
             )
-            got_planes, got_mc = _run_kernel(
-                compute_plane_rows, seqs, dna_scheme, mask=mask, ws=ws
-            )
-            for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
-                assert np.array_equal(a, b), f"plane {d} differs at {shape}"
-            assert np.array_equal(ref_mc, got_mc), f"moves differ at {shape}"
+            tube, _ = carrillo_lipman_tube(*seqs, dna_scheme)
+            _assert_tube_matches_ref(seqs, dna_scheme, tube, ws)
 
     def test_score_only_sweeps_one_workspace(self, dna_scheme):
         rng = np.random.default_rng(13)
         ws = PlaneWorkspace()
         for shape in SHAPES:
             seqs = _random_triple(rng, shape)
-            ref_planes, _ = _run_kernel(
+            ref_planes, _, _ = _run_kernel(
                 compute_plane_rows_ref, seqs, dna_scheme, score_only=True
             )
-            got_planes, _ = _run_kernel(
+            got_planes, _, _ = _run_kernel(
                 compute_plane_rows, seqs, dna_scheme, score_only=True, ws=ws
             )
             for d, (a, b) in enumerate(zip(ref_planes, got_planes)):
                 assert np.array_equal(a, b), f"plane {d} differs at {shape}"
 
     def test_pruned_to_empty_plane(self, dna_scheme):
-        # A mask that kills whole planes exercises the early-return paths.
+        # A tube that kills whole planes exercises the early-return paths.
         rng = np.random.default_rng(17)
         seqs = _random_triple(rng, (5, 5, 5))
         mask = np.zeros((6, 6, 6), dtype=bool)
         mask[0, 0, 0] = True
         mask[5, 5, 5] = True
+        tube = PruningTube.from_mask(mask)
         ws = PlaneWorkspace()
-        ref_planes, ref_mc = _run_kernel(
-            compute_plane_rows_ref, seqs, dna_scheme, mask=mask
-        )
-        got_planes, got_mc = _run_kernel(
-            compute_plane_rows, seqs, dna_scheme, mask=mask, ws=ws
-        )
-        for a, b in zip(ref_planes, got_planes):
-            assert np.array_equal(a, b)
-        assert np.array_equal(ref_mc, got_mc)
+        for score_only in (False, True):
+            _assert_tube_matches_ref(
+                seqs, dna_scheme, tube, ws, score_only=score_only
+            )
 
     def test_long_thin_cubes(self, dna_scheme):
         rng = np.random.default_rng(19)
         ws = PlaneWorkspace()
         for shape in [(60, 2, 3), (2, 60, 3), (2, 3, 60)]:
             seqs = _random_triple(rng, shape)
-            ref_planes, ref_mc = _run_kernel(
+            ref_planes, ref_mc, _ = _run_kernel(
                 compute_plane_rows_ref, seqs, dna_scheme
             )
-            got_planes, got_mc = _run_kernel(
+            got_planes, got_mc, _ = _run_kernel(
                 compute_plane_rows, seqs, dna_scheme, ws=ws
             )
             for a, b in zip(ref_planes, got_planes):
@@ -272,31 +304,33 @@ class TestEngineReuse:
             seqs = _random_triple(rng, shape)
             n1 = len(seqs[0])
             for level in {0, n1 // 2, n1}:
-                fresh = forward_slab(*seqs, dna_scheme, level, engine="slab")
-                reused = forward_slab(
-                    *seqs, dna_scheme, level, engine="slab", workspace=ws
+                fresh = slab_sweep(*seqs, dna_scheme, want_levels=(level,))
+                reused = slab_sweep(
+                    *seqs, dna_scheme, want_levels=(level,), workspace=ws
                 )
-                assert np.array_equal(fresh, reused)
+                assert np.array_equal(fresh.slabs[level], reused.slabs[level])
+                # The production slab (plane-sweep row capture) agrees.
+                np.testing.assert_allclose(
+                    forward_slab(*seqs, dna_scheme, level, workspace=ws),
+                    fresh.slabs[level],
+                    atol=1e-9,
+                )
 
     def test_hirschberg_reuse(self, dna_scheme):
         rng = np.random.default_rng(47)
         ws = PlaneWorkspace()
         for shape in [(20, 16, 18), (6, 30, 4), (9, 9, 9)]:
             seqs = _random_triple(rng, shape)
-            for engine in ("wavefront", "slab"):
-                fresh = align3_hirschberg(
-                    *seqs, dna_scheme, base_cells=64, engine=engine
-                )
-                reused = align3_hirschberg(
-                    *seqs,
-                    dna_scheme,
-                    base_cells=64,
-                    engine=engine,
-                    workspace=ws,
-                )
-                assert fresh.rows == reused.rows
-                assert fresh.score == reused.score
-                assert fresh.meta == reused.meta
+            fresh = align3_hirschberg(*seqs, dna_scheme, base_cells=64)
+            reused = align3_hirschberg(
+                *seqs, dna_scheme, base_cells=64, workspace=ws
+            )
+            assert fresh.rows == reused.rows
+            assert fresh.score == reused.score
+            assert fresh.meta == reused.meta
+            assert fresh.score == pytest.approx(
+                slab_sweep(*seqs, dna_scheme).score
+            )
 
     @needs_fork
     def test_pool_varied_job_shapes(self, dna_scheme):
