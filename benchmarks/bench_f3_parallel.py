@@ -1,7 +1,7 @@
 """F3 — measured block-tiled parallel executor on this machine.
 
-Compares the serial wavefront against the one-call ``blocks`` engine and
-a warm persistent pool at the same problem size; the speedup ratio is
+Compares the serial wavefront against the ``blocks`` engine and a direct
+``WavefrontPool`` call at the same problem size; the speedup ratio is
 the figure's measured series.
 """
 
@@ -17,11 +17,8 @@ _CORES = mp.cpu_count()
 
 
 @pytest.fixture(scope="module")
-def pool(dna_scheme):
-    with WavefrontPool((100, 100, 100), workers=_CORES) as p:
-        # Warm the workers before timing.
-        p.score3("ACGT", "ACG", "AGT", dna_scheme)
-        yield p
+def pool():
+    return WavefrontPool(workers=_CORES)
 
 
 def test_serial_baseline_n80(benchmark, dna_scheme, family80):

@@ -7,8 +7,8 @@ pre-workspace reference kernel (``compute_plane_rows_ref``) on the two
 workloads that bracket the engine's regimes:
 
 * **small_repeated** — many score-only sweeps over small cubes, the
-  Hirschberg/persistent-pool regime where per-sweep allocation used to
-  rival the arithmetic. This is where the workspace wins big.
+  Hirschberg regime where per-sweep allocation used to rival the
+  arithmetic. This is where the workspace wins big.
 * **large_sweep** — one big full-traceback sweep, the
   bandwidth-dominated regime where allocation amortises; the new kernel
   must simply not regress here.
@@ -20,9 +20,9 @@ workloads that bracket the engine's regimes:
   pruned sweep all inside the timed side — asserting bit-identical
   scores. This is the ≥5x acceptance number for the pruned engine.
 * **scaling** — the parallel executor against the simplest correct
-  alternative: ``score3_blocks(workers=2)`` (a one-call
-  ``WavefrontPool``: fork, staging, counter-synchronised sweep and
-  teardown all timed) versus the serial
+  alternative: ``score3_blocks(workers=2)`` (one ``WavefrontPool``
+  call: staging, fork, counter-synchronised sweep and join all timed)
+  versus the serial
   ``wavefront_sweep(score_only=True)`` on one diverged n=240 triple, in
   the same interleaved A/B harness as the kernel sections, scores
   asserted equal. The gate number is the serial/blocks wall-time
@@ -321,8 +321,8 @@ def _measure_scaling(config, scheme):
 
     Both sides compute the identical cells with the same kernel; the
     blocks side additionally pays everything a ``method="blocks"`` call
-    costs — forking the one-call pool, staging the shared buffers,
-    counter waits and teardown — so the ratio is the end-to-end speedup
+    costs — staging the shared buffers, forking the workers, counter
+    waits and joining them — so the ratio is the end-to-end speedup
     a caller actually gets. ``_ab_min`` interleaves the two over
     ``scaling_repeats`` rounds so machine drift hits both equally.
 

@@ -55,7 +55,7 @@ from repro.resilience.supervise import SupervisionPolicy, parent_alive, reap
 ENGINE = "batch"
 
 #: Respawns allowed per worker slot in one :meth:`JobWorkers.run` (the
-#: pool's supervision default).
+#: block executor's supervision default).
 MAX_RESPAWNS = SupervisionPolicy.max_respawns
 
 #: How often an idle worker checks that its parent is still alive, and

@@ -70,10 +70,10 @@ if TYPE_CHECKING:  # pragma: no cover - multiprocessing loads on first fan-out
 #: never masquerade as a bit-identical exact hit.
 PERM_PREFIX = "p:"
 
-#: Legacy constants of the removed within-cube pool path (the methods a
-#: :class:`~repro.parallel.executor.WavefrontPool` reproduces, and the
-#: largest cube it was given). Kept importable for callers that size a
-#: pool from them; they no longer steer the scheduler's dispatch.
+#: Legacy constants of the removed within-cube pool path (the methods it
+#: split over a long-lived worker pool, and the largest cube it gave
+#: one). Kept importable for callers that still read them; they steer
+#: nothing in the scheduler, and no worker pool outlives a call.
 POOL_METHODS = ("wavefront",)
 DEFAULT_MAX_POOL_CELLS = 2_000_000
 

@@ -11,8 +11,6 @@ from __future__ import annotations
 import time
 import tracemalloc
 
-import numpy as np
-
 from repro.bench.harness import ExperimentResult, experiment
 from repro.cluster import (
     BlockGrid,
@@ -27,7 +25,7 @@ from repro.core.dp3d import score3_dp3d
 from repro.core.hirschberg import align3_hirschberg, memory_estimate_bytes
 from repro.core.rolling import score3_slab
 from repro.core.scoring import default_scheme_for
-from repro.core.wavefront import score3_wavefront, wavefront_sweep
+from repro.core.wavefront import score3_wavefront
 from repro.heuristics import align3_centerstar, align3_progressive
 from repro.parallel.blocks import score3_blocks
 from repro.seqio.alphabet import DNA, PROTEIN
@@ -184,35 +182,6 @@ def exp_f3(quick: bool) -> ExperimentResult:
         table.add_row(n, t_serial, t_blk, t_serial / t_blk)
         data["rows"].append((n, t_serial, t_blk, t_serial / t_blk))
     return ExperimentResult("f3", "block-tiled speedup", table.render(), data)
-
-
-@experiment("f3pool", "Figure 3 addendum: persistent-pool speedup (this machine)")
-def exp_f3pool(quick: bool) -> ExperimentResult:
-    import multiprocessing as mp
-
-    from repro.parallel.executor import WavefrontPool
-
-    ns = (60, 80) if quick else (60, 80, 100, 120)
-    cores = mp.cpu_count()
-    table = Table(
-        f"F3-pool measured wall time (s), {cores} cores, persistent workers",
-        ["n", "t_serial", "t_pool", "speedup_pool"],
-    )
-    data: dict[str, list] = {"rows": []}
-    cap = max(ns) + 10
-    with WavefrontPool((cap, cap, cap), workers=cores) as pool:
-        for n in ns:
-            seqs = _family(n)
-            t_serial, s0 = repeat_min(
-                lambda: score3_wavefront(*seqs, _DNA), repeats=4, warmup=1
-            )
-            t_pool, s1 = repeat_min(
-                lambda: pool.score3(*seqs, _DNA), repeats=4, warmup=1
-            )
-            assert abs(s0 - s1) < 1e-9
-            table.add_row(n, t_serial, t_pool, t_serial / t_pool)
-            data["rows"].append((n, t_serial, t_pool, t_serial / t_pool))
-    return ExperimentResult("f3pool", "pool speedup", table.render(), data)
 
 
 # ---------------------------------------------------------------------------

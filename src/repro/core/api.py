@@ -21,9 +21,9 @@ method           engine
 ``banded``       certified band doubling around the main diagonal
 ``affine``       7-state affine-gap DP (requires ``scheme.gap_open != 0``)
 ``blocks``       block-tiled multiprocess wavefront: row-slab x plane-band
-                 blocks streamed over per-worker readiness counters (a
-                 :class:`~repro.parallel.executor.WavefrontPool` that
-                 lives for one call)
+                 blocks streamed over per-worker readiness counters (one
+                 :class:`~repro.parallel.executor.WavefrontPool` call,
+                 which forks its workers and joins them before returning)
 ``anchored``     anchor-discovering divide and conquer: shared unique
                  k-mers are chained into a cube-splitting anchor chain
                  (:mod:`repro.anchor`), each sub-cube solved by the

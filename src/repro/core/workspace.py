@@ -6,9 +6,9 @@ per plane — index grids, validity masks, three substitution gathers and a
 7-candidate stack that is seven times the plane's memory — and the
 Hirschberg divide-and-conquer additionally re-allocated all four plane
 buffers at every recursion node. For the repeated-small-plane workloads
-that dominate Hirschberg (and the pool's batched jobs), that allocation
-traffic — and the fixed Python-level cost of the ~40 NumPy calls per
-plane — rivals the arithmetic itself.
+that dominate Hirschberg, that allocation traffic — and the fixed
+Python-level cost of the ~40 NumPy calls per plane — rivals the
+arithmetic itself.
 
 :class:`PlaneWorkspace` removes both. One workspace owns, grow-only:
 
@@ -35,7 +35,7 @@ A workspace is **not** thread-safe and must not be shared by two
 concurrently-running kernel invocations. Each parallel worker (thread or
 process) owns its own workspace; the engines in :mod:`repro.parallel`
 follow this rule. Sharing one workspace across *sequential* sweeps —
-Hirschberg recursion, the persistent pool's job loop — is the point.
+Hirschberg recursion, the sub-cubes of an anchored chain — is the point.
 
 The profile binding caches by **object identity** (the workspace keeps
 references, so ids cannot be recycled). Mutating a profile matrix in
@@ -59,7 +59,7 @@ class PlaneWorkspace:
         Initial ``(n1, n2, n3)`` sequence-length capacity. Sweeps beyond
         it grow the buffers (amortised: capacity never shrinks), so
         ``PlaneWorkspace()`` is a valid lazy starting point and
-        ``PlaneWorkspace(pool_capacity)`` pre-sizes everything once.
+        ``PlaneWorkspace(max_dims)`` pre-sizes everything once.
 
     Attributes
     ----------

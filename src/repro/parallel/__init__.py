@@ -10,11 +10,12 @@ bit-identical output to the serial wavefront.
 
 One executor runs every parallel sweep:
 
-* :class:`~repro.parallel.executor.WavefrontPool` — persistent
-  shared-memory workers with supervised, block-granular recovery and
-  optional :class:`~repro.core.tube.PruningTube` pruning;
+* :class:`~repro.parallel.executor.WavefrontPool` — each call forks
+  its workers over job-sized shared buffers, with supervised,
+  block-granular recovery and optional
+  :class:`~repro.core.tube.PruningTube` pruning;
 * :mod:`repro.parallel.blocks` — ``align3_blocks``/``score3_blocks``,
-  a pool that lives for one call (``method="blocks"``).
+  one such call (``method="blocks"``).
 
 Partitioning helpers (row slabs, plane bands, the block dependency
 grid) live in :mod:`repro.parallel.partition`.

@@ -1,4 +1,4 @@
-"""Block-tiled multiprocess wavefront: a one-call :class:`WavefrontPool`.
+"""Block-tiled multiprocess wavefront: ``method="blocks"``.
 
 The measured counterpart of the coarse 3-D block decomposition TrioSeq
 uses to keep GPU SMs saturated: instead of one barrier per anti-diagonal
@@ -10,14 +10,14 @@ bands of depth ``T`` that is ``2 * 3n / T`` waits per worker instead of
 ``3n`` full barriers, and the planes inside a band run with zero
 synchronisation.
 
-Each call builds a :class:`~repro.parallel.executor.WavefrontPool` sized
-to the cube, with one worker per row slab and the band depth
-:func:`~repro.parallel.partition.band_depth` picks for it, runs one job
-and closes the pool. The pool supplies everything else: shared buffers,
-supervision with block-granular respawn (``docs/robustness.md``),
-:class:`~repro.core.tube.PruningTube` composition (tube-skipped blocks
-publish without scheduling; respawned workers replay the same staged
-live-row windows) and the serial fallback.
+Both functions run one call of
+:class:`~repro.parallel.executor.WavefrontPool`: it gives the cube one
+worker per row slab and the band depth
+:func:`~repro.parallel.partition.band_depth` picks for it, and supplies
+everything else — shared buffers, supervision with block-granular
+respawn (``docs/robustness.md``), :class:`~repro.core.tube.PruningTube`
+composition (tube-skipped blocks publish without scheduling; respawned
+workers replay the same live-row windows) and the serial fallback.
 
 Determinism: every cell is computed exactly once by the same kernel
 call the serial engine makes, so scores and rows are bit-identical to
@@ -31,24 +31,6 @@ from repro.core.scoring import ScoringScheme
 from repro.core.tube import PruningTube
 from repro.core.types import Alignment3
 from repro.parallel.executor import WavefrontPool, traced_alignment
-from repro.parallel.partition import band_depth, row_slabs
-from repro.util.validation import check_sequences
-
-
-def _one_call_pool(
-    sa: str,
-    sb: str,
-    sc: str,
-    workers: int,
-    supervise: bool,
-    band: int | None,
-) -> WavefrontPool:
-    """A pool sized to this cube: one worker per row slab."""
-    check_sequences((sa, sb, sc), count=3)
-    dims = (len(sa), len(sb), len(sc))
-    active = len(row_slabs(dims[0], workers))  # validates ``workers``
-    depth = band if band is not None else band_depth(sum(dims), active)
-    return WavefrontPool(dims, workers=active, supervise=supervise, band=depth)
 
 
 def score3_blocks(
@@ -62,8 +44,8 @@ def score3_blocks(
     tube: PruningTube | None = None,
 ) -> float:
     """Optimal SP score via the block-tiled wavefront (O(n^2) memory)."""
-    with _one_call_pool(sa, sb, sc, workers, supervise, band) as pool:
-        return pool.score3(sa, sb, sc, scheme, tube=tube)
+    pool = WavefrontPool(workers, supervise=supervise, band=band)
+    return pool.score3(sa, sb, sc, scheme, tube=tube)
 
 
 def align3_blocks(
@@ -83,12 +65,9 @@ def align3_blocks(
     serial sweep's) and, when one worker had all the rows,
     ``fallback="serial"``.
     """
-    with _one_call_pool(sa, sb, sc, workers, supervise, band) as pool:
-        score, move_cube, job = pool._run(sa, sb, sc, scheme, False, tube)
-        meta = pool._meta(job)
-    # Traced after the pool has released its shared buffers, so the
-    # traceback's allocations never stack on top of them.
-    meta.update(engine="blocks", workers=workers)
+    pool = WavefrontPool(workers, supervise=supervise, band=band)
+    score, move_cube, meta = pool._run(sa, sb, sc, scheme, False, tube)
+    meta["engine"] = "blocks"
     if meta.pop("serial_fallback"):
         meta["fallback"] = "serial"
     return traced_alignment(sa, sb, sc, score, move_cube, meta, tube)

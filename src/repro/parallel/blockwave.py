@@ -36,12 +36,14 @@ every neighbour just keeps waiting on it, and the dispatcher
 progress was gated on the dead worker's frozen counter — so replay
 needs no checkpoint and stays bit-identical. A replacement on a
 tube-pruned run reads the *same* per-plane live-row window arrays the
-first incarnation used (the dispatcher stages them once per job), so
-recovery neither recomputes pruned rows nor loses the pruning speedup.
+first incarnation used (both are forked from the dispatcher that
+computed them), so recovery neither recomputes pruned rows nor loses
+the pruning speedup.
 
 :class:`repro.parallel.executor.WavefrontPool` drives :func:`sweep_blocks`
-with shared-memory counters. Cross-process counter visibility relies on
-aligned 8-byte stores issued after the plane writes they cover.
+with counters in an anonymous shared mapping. Cross-process counter
+visibility relies on aligned 8-byte stores issued after the plane writes
+they cover.
 """
 
 from __future__ import annotations

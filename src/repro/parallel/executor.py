@@ -1,40 +1,38 @@
 """The block-tiled multiprocess wavefront executor.
 
 :class:`WavefrontPool` is the one process executor of
-:mod:`repro.parallel`. It keeps its workers and shared buffers alive
-across calls, the way a long-running MPI rank set would, so repeated
-alignments pay only the per-job dispatch cost; the ``blocks`` method
-(:mod:`repro.parallel.blocks`) is a pool that lives for one call.
+:mod:`repro.parallel`; the ``blocks`` method (:mod:`repro.parallel.blocks`)
+is a thin wrapper around it. Every ``score3``/``align3`` call is one
+job with its own workers, so nothing lives between calls and nothing
+needs closing.
 
-Protocol
+Per call
 --------
-The pool allocates capacity-sized shared buffers once (a ``W``-deep
-rotating plane window, three profile-matrix buffers, a move cube, a
-tube buffer and a small control block). Per job the main process writes
-the job descriptor (dims, gap, score-only and tube flags), the profile
-matrices and — for a pruned job — the tube's ``klo``/``khi`` intervals
-with the per-plane live-row windows, resets the planes and the progress
-counters, and everyone meets at the start barrier; workers then stream
-the block-tiled sweep (fixed row slab × plane bands, counter
-synchronisation — :mod:`repro.parallel.blockwave`), add their
-valid-cell tallies to the control block, publish completion and return
-to the start barrier for the next job. Shutdown is a job with the
-shutdown flag set.
+The call sizes the job — one worker per row slab
+(:func:`~repro.parallel.partition.row_slabs`) and a band depth from
+:func:`~repro.parallel.partition.band_depth` unless ``band=`` fixes it —
+and allocates the job-sized ``W``-deep rotating plane window, the move
+cube and a control block (one progress counter and one valid-cell tally
+per worker) as anonymous shared mappings. The profile matrices and, for
+a pruned job, the tube's ``klo``/``khi`` intervals and per-plane
+live-row windows stay ordinary arrays. Then the dispatcher forks the
+workers, which inherit all of it. Each worker streams the block-tiled
+sweep of its slab (plane bands, counter synchronisation —
+:mod:`repro.parallel.blockwave`), adds its tally to the control block
+and publishes completion; the dispatcher is worker 0, owning the bottom
+slab. Before the call returns, every worker is joined, or reaped when
+the call fails. With a tube, bands that fall entirely outside it are
+skipped rather than scheduled.
 
-Workers whose id exceeds the job's slab count (more workers than rows)
-publish completion immediately and go straight back to the start
-barrier: they pay zero per-plane cost for that job. With a tube, bands
-that fall entirely outside it are skipped rather than scheduled.
-
-Supervision (default on) makes the pool survive worker failure: every
+Supervision (default on) makes a call survive worker failure: every
 counter wait has a timeout, and the dispatcher responds to a stall by
 respawning dead (or wedged) workers resuming at their published counter
 — block-granular replay
-(:class:`~repro.parallel.blockwave.CounterSupervisor`). A replacement
-reads the same staged tube and live-row windows its predecessor used,
-and the window arithmetic keeps the planes it needs intact, so replay
-needs no checkpoint and the output stays bit-identical to the serial
-engine. See ``docs/robustness.md``.
+(:class:`~repro.parallel.blockwave.CounterSupervisor`). A replacement is
+forked from the same dispatcher, so it inherits the very inputs its
+predecessor read, and the window arithmetic keeps the planes it needs
+intact: replay needs no checkpoint and the output stays bit-identical
+to the serial engine. See ``docs/robustness.md``.
 
 Determinism: every cell is computed exactly once by the same kernel
 call the serial engine makes, so scores, rows and valid-cell counts are
@@ -45,11 +43,11 @@ cell count is a lower bound: a dead incarnation's tally is lost).
 
 from __future__ import annotations
 
+import mmap
 import multiprocessing as mp
-import threading
 import time
-from multiprocessing import shared_memory
-from typing import Any
+from dataclasses import dataclass
+from typing import Any, Callable
 
 import numpy as np
 
@@ -77,25 +75,8 @@ from repro.parallel.partition import (
 )
 from repro.resilience import faults as _faults
 from repro.resilience.errors import FailureRecord
-from repro.resilience.supervise import (
-    SupervisionPolicy,
-    Supervisor,
-    reap,
-    worker_idle_wait,
-)
+from repro.resilience.supervise import SupervisionPolicy, reap
 from repro.util.validation import check_positive, check_sequences
-
-# Control-block slots (float64 each). One progress counter per worker
-# (the blockwave ``done[w]`` protocol) sits at _CTRL_COUNTER_BASE,
-# followed by one valid-cell tally per worker.
-_CTRL_SHUTDOWN = 0
-_CTRL_N1 = 1
-_CTRL_N2 = 2
-_CTRL_N3 = 3
-_CTRL_G2 = 4
-_CTRL_SCORE_ONLY = 5
-_CTRL_TUBE = 6
-_CTRL_COUNTER_BASE = 7
 
 
 def fork_available() -> bool:
@@ -103,355 +84,140 @@ def fork_available() -> bool:
     return "fork" in mp.get_all_start_methods()
 
 
-def _ctrl_slots(workers: int) -> int:
-    return _CTRL_COUNTER_BASE + 2 * workers
+def _shared(shape: tuple[int, ...], dtype: Any) -> np.ndarray:
+    """A zero-filled array over an anonymous shared mapping: forked
+    workers write into the pages the dispatcher reads. The mapping is
+    released with the last array that views it."""
+    dtype = np.dtype(dtype)
+    buf = mmap.mmap(-1, int(np.prod(shape)) * dtype.itemsize)
+    return np.frombuffer(buf, dtype=dtype).reshape(shape)
 
 
-def _job_band(band_cap: int, dmax: int, active: int) -> int:
-    """The band depth every participant derives for a job — identical
-    inputs (constructor cap + staged dims), identical result."""
-    return min(band_cap, band_depth(dmax, active, cap=band_cap))
+@dataclass
+class _Job:
+    """One call's staged inputs and shared outputs. Every worker — first
+    spawn and respawned replacement alike — is forked from the
+    dispatcher holding it, so all of them read the same arrays."""
 
+    dims: tuple[int, int, int]
+    slabs: list[tuple[int, int]]
+    bands: list[tuple[int, int]]
+    planes: list[np.ndarray]
+    profiles: tuple[np.ndarray, np.ndarray, np.ndarray]
+    g2: float
+    moves: np.ndarray | None
+    tube: PruningTube | None
+    row_lo: np.ndarray | None
+    row_hi: np.ndarray | None
+    progress: BlockProgress
+    tallies: np.ndarray
 
-def _tube_elems(n1: int, n2: int, dmax: int) -> int:
-    """int64 slots of the tube buffer: ``klo``, ``khi``, then the
-    per-plane live-row windows ``row_lo``, ``row_hi``."""
-    return 2 * (n1 + 1) * (n2 + 1) + 2 * (dmax + 1)
+    @property
+    def dmax(self) -> int:
+        return sum(self.dims)
 
-
-class _JobViews:
-    """Job-shaped views over the pool's capacity-sized shared buffers."""
-
-    def __init__(
+    def sweep(
         self,
-        shms: dict[str, shared_memory.SharedMemory],
-        dims: tuple[int, int, int],
-        window: int,
-        score_only: bool,
-        tubed: bool,
-    ):
-        n1, n2, n3 = dims
-        dmax = n1 + n2 + n3
-        self.planes = [
-            np.ndarray(
-                (n1 + 2, n2 + 2), dtype=np.float64, buffer=shms[f"plane{r}"].buf
-            )
-            for r in range(window)
-        ]
-        self.sab = np.ndarray((n1, n2), dtype=np.float64, buffer=shms["sab"].buf)
-        self.sac = np.ndarray((n1, n3), dtype=np.float64, buffer=shms["sac"].buf)
-        self.sbc = np.ndarray((n2, n3), dtype=np.float64, buffer=shms["sbc"].buf)
-        self.moves = (
-            None
-            if score_only
-            else np.ndarray(
-                (n1 + 1, n2 + 1, n3 + 1), dtype=np.int8, buffer=shms["moves"].buf
-            )
+        w: int,
+        wait: Callable[[int, int], None],
+        start_plane: int = 0,
+        record: bool = True,
+    ) -> int:
+        """Stream worker ``w``'s slab; returns its valid-cell count."""
+        return sweep_blocks(
+            w,
+            len(self.slabs),
+            self.slabs[w],
+            self.bands,
+            self.dims,
+            self.planes,
+            *self.profiles,
+            self.g2,
+            self.moves,
+            PlaneWorkspace(self.dims),
+            self.progress,
+            wait,
+            tube=self.tube,
+            row_lo_by_d=self.row_lo,
+            row_hi_by_d=self.row_hi,
+            start_plane=start_plane,
+            record=record,
         )
-        self.klo = self.khi = self.row_lo = self.row_hi = None
-        if tubed:
-            flat = np.ndarray(
-                (_tube_elems(n1, n2, dmax),), dtype=np.intp, buffer=shms["tube"].buf
-            )
-            a = (n1 + 1) * (n2 + 1)
-            self.klo = flat[:a].reshape(n1 + 1, n2 + 1)
-            self.khi = flat[a : 2 * a].reshape(n1 + 1, n2 + 1)
-            self.row_lo = flat[2 * a : 2 * a + dmax + 1]
-            self.row_hi = flat[2 * a + dmax + 1 :]
 
 
-def _pool_worker(
-    worker_id: int,
-    workers: int,
-    capacity: tuple[int, int, int],
-    band_cap: int,
-    names: dict[str, str],
-    start_barrier,
+def _worker(
+    job: _Job,
+    w: int,
     policy: SupervisionPolicy | None,
-    resume_plane: int | None = None,
-    faults_armed: bool = True,
+    resume: int | None,
 ) -> None:
-    """Worker main loop: wait for a job, stream its slab, repeat until
-    shutdown.
+    """Forked worker body: stream slab ``w``, add the tally, publish
+    completion.
 
-    A respawned replacement arrives with ``resume_plane`` set (skip the
-    job-start barrier, re-enter the current sweep at its predecessor's
-    published counter) and ``faults_armed=False`` (a replayed block must
-    not re-trigger the injected crash that killed its predecessor).
+    A respawned replacement arrives with ``resume`` set: it re-enters
+    the sweep at its predecessor's published counter with fault
+    injection disarmed (a replayed block must not re-trigger the crash
+    that killed its predecessor) and skips the per-worker obs record
+    (its tallies would not cover the job).
     """
-    if not faults_armed:
+    if resume is not None:
         _faults.disarm_all()
-    shms = {key: shared_memory.SharedMemory(name=name) for key, name in names.items()}
-    try:
-        ctrl = np.ndarray(
-            (_ctrl_slots(workers),), dtype=np.float64, buffer=shms["ctrl"].buf
-        )
-        progress = BlockProgress(ctrl, workers, base=_CTRL_COUNTER_BASE)
-        tally = _CTRL_COUNTER_BASE + workers + worker_id
-        # One capacity-sized workspace per worker process, reused across
-        # every job the pool ever runs (zero steady-state allocation).
-        ws = PlaneWorkspace(capacity)
-        resume = resume_plane
-        while True:
-            if resume is None:
-                if policy is None:
-                    start_barrier.wait()
-                else:
-                    worker_idle_wait(start_barrier, policy)
-            if ctrl[_CTRL_SHUTDOWN]:
-                return
-            dims = (int(ctrl[_CTRL_N1]), int(ctrl[_CTRL_N2]), int(ctrl[_CTRL_N3]))
-            n1, n2, n3 = dims
-            dmax = n1 + n2 + n3
-            slabs = row_slabs(n1, workers)
-            active = len(slabs)
-            if worker_id < active:
-                depth = _job_band(band_cap, dmax, active)
-                window = min(plane_window(depth), dmax + 4)
-                v = _JobViews(
-                    shms, dims, window,
-                    bool(ctrl[_CTRL_SCORE_ONLY]), bool(ctrl[_CTRL_TUBE]),
-                )
-                tube = None if v.klo is None else PruningTube(v.klo, v.khi, n3)
-                # Observability state was inherited at pool construction
-                # time (the workers fork once); per-job records still
-                # carry the correct pid/worker ids. A mid-sweep
-                # replacement skips the per-worker record — its tallies
-                # would not cover the job.
-                ctrl[tally] += sweep_blocks(
-                    worker_id,
-                    active,
-                    slabs[worker_id],
-                    plane_bands(dmax, depth),
-                    dims,
-                    v.planes,
-                    v.sab,
-                    v.sac,
-                    v.sbc,
-                    float(ctrl[_CTRL_G2]),
-                    v.moves,
-                    ws,
-                    progress,
-                    lambda w, target: worker_counter_wait(
-                        progress, w, target, policy
-                    ),
-                    tube=tube,
-                    row_lo_by_d=v.row_lo,
-                    row_hi_by_d=v.row_hi,
-                    start_plane=0 if resume is None else resume,
-                    record=resume is None,
-                )
-                if _obs.active():
-                    _trace.flush()
-            # Completion is one past the last plane, published after the
-            # tally so the dispatcher never reads a partial count. A
-            # worker with no slab (more workers than rows) publishes it
-            # straight away.
-            progress.publish(worker_id, dmax + 1)
-            resume = None
-    finally:
-        for shm in shms.values():
-            shm.close()
+    job.tallies[w] += job.sweep(
+        w,
+        lambda v, target: worker_counter_wait(job.progress, v, target, policy),
+        start_plane=resume or 0,
+        record=resume is None,
+    )
+    if _obs.active():
+        _trace.flush()
+    # Completion is one past the last plane, published after the tally
+    # so the dispatcher never reads a partial count.
+    job.progress.publish(w, job.dmax + 1)
 
 
 class WavefrontPool:
-    """A reusable pool of block-tiled wavefront workers.
+    """The block-tiled wavefront executor; each call forks its workers.
 
     Parameters
     ----------
-    capacity:
-        Maximum sequence lengths ``(n1, n2, n3)`` any job may have; buffers
-        are sized once for this.
     workers:
         Total workers including the dispatching process (so ``workers=2``
-        spawns one child). Falls back to serial execution when 1, or when
-        the platform lacks ``fork``. Jobs with fewer row slabs than
-        workers leave the surplus workers idle for that job.
+        forks one child). A call uses one worker per row slab — at most
+        ``n1 + 1`` — and runs serially when that is one worker, or when
+        the platform lacks ``fork``.
     supervise:
         When True (default) every counter wait has a timeout and dead or
         wedged workers are respawned resuming at their published counter;
-        ``policy`` tunes the timeouts. When False the pool waits
-        patiently forever — kept for overhead measurement.
+        ``policy`` tunes the timeouts. When False a call waits patiently
+        forever — kept for overhead measurement.
     band:
-        Upper bound on the plane-band depth (planes streamed between
-        synchronisations). Sizes the shared plane window once:
-        ``2 * band + 3`` capacity-sized buffers.
+        Plane-band depth (planes streamed between synchronisations).
+        Default: :func:`~repro.parallel.partition.band_depth` per call.
 
-    Use as a context manager::
+    Calls are independent: each one allocates its buffers, forks,
+    sweeps and joins its workers before it returns::
 
-        with WavefrontPool((120, 120, 120), workers=2) as pool:
-            for job in jobs:
-                aln = pool.align3(*job, scheme)
+        pool = WavefrontPool(workers=2)
+        for job in jobs:
+            aln = pool.align3(*job, scheme)
     """
 
     def __init__(
         self,
-        capacity: tuple[int, int, int],
         workers: int = 2,
         supervise: bool = True,
         policy: SupervisionPolicy | None = None,
-        band: int = 8,
+        band: int | None = None,
     ):
         check_positive("workers", workers)
-        check_positive("band", band)
-        for c in capacity:
-            if c < 0:
-                raise ValueError(f"capacity must be >= 0, got {capacity}")
-        self.capacity = tuple(int(c) for c in capacity)
+        if band is not None:
+            check_positive("band", band)
         self.workers = workers
         self.band = band
-        # No job needs more planes than its cube has (plus the 3-plane
-        # read horizon).
-        self.window = min(plane_window(band), sum(self.capacity) + 4)
         self.policy = (
             (policy or SupervisionPolicy.from_env()) if supervise else None
         )
-        self._serial = workers == 1 or not fork_available()
-        # The dispatcher's own workspace (also the serial fallback's):
-        # sized to capacity once, so every job runs allocation-free.
-        self._ws = PlaneWorkspace(self.capacity)
-        self._closed = False
-        self._failed = False
-        self._shms: dict[str, shared_memory.SharedMemory] = {}
-        self._procs: dict[int, mp.Process] = {}
-        self._start_supervisor: Supervisor | None = None
         self._failures: list[FailureRecord] = []
-        if self._serial:
-            return
-
-        c1, c2, c3 = self.capacity
-        self._ctx = mp.get_context("fork")
-        sizes = {
-            "ctrl": _ctrl_slots(workers) * 8,
-            "sab": max(1, c1 * c2 * 8),
-            "sac": max(1, c1 * c3 * 8),
-            "sbc": max(1, c2 * c3 * 8),
-            "moves": max(1, (c1 + 1) * (c2 + 1) * (c3 + 1)),
-            "tube": _tube_elems(c1, c2, c1 + c2 + c3) * 8,
-        }
-        for r in range(self.window):
-            sizes[f"plane{r}"] = (c1 + 2) * (c2 + 2) * 8
-        for key, size in sizes.items():
-            self._shms[key] = shared_memory.SharedMemory(create=True, size=size)
-        self._ctrl = np.ndarray(
-            (_ctrl_slots(workers),), dtype=np.float64, buffer=self._shms["ctrl"].buf
-        )
-        self._ctrl[:] = 0.0
-        self._progress = BlockProgress(
-            self._ctrl, workers, base=_CTRL_COUNTER_BASE
-        )
-        self._start_barrier = self._ctx.Barrier(workers)
-        self._names = {key: shm.name for key, shm in self._shms.items()}
-        for w in range(1, workers):
-            self._procs[w] = self._spawn(w, None, faults_armed=True)
-        if self.policy is not None:
-            # Supervises only the job-start rendezvous (a worker dead
-            # while idle); mid-sweep supervision is the per-job
-            # CounterSupervisor in _run_parallel.
-            self._start_supervisor = Supervisor(
-                ENGINE,
-                barrier=self._start_barrier,
-                procs=self._procs,
-                respawn=lambda w: self._spawn(w, None, faults_armed=False),
-                policy=self.policy,
-            )
-
-    # ------------------------------------------------------------------
-
-    def _spawn(
-        self, worker_id: int, resume_plane: int | None, faults_armed: bool
-    ) -> mp.Process:
-        # Flush buffered trace lines so the fork doesn't duplicate them.
-        _trace.flush()
-        proc = self._ctx.Process(
-            target=_pool_worker,
-            args=(
-                worker_id,
-                self.workers,
-                self.capacity,
-                self.band,
-                self._names,
-                self._start_barrier,
-                self.policy,
-                resume_plane,
-                faults_armed,
-            ),
-            daemon=True,
-        )
-        proc.start()
-        return proc
-
-    def _respawn(self, worker_id: int, resume_plane: int) -> mp.Process:
-        return self._spawn(worker_id, resume_plane, faults_armed=False)
-
-    def __enter__(self) -> "WavefrontPool":
-        return self
-
-    def __exit__(self, *exc: Any) -> None:
-        self.close()
-
-    def close(self) -> None:
-        """Shut the workers down and release the shared buffers.
-
-        Escalates join -> terminate -> kill so a wedged worker cannot
-        hang shutdown, and always releases the shared-memory segments —
-        leaked SHM would outlive the process.
-        """
-        if self._closed:
-            return
-        self._closed = True
-        try:
-            if not self._serial:
-                all_alive = all(p.is_alive() for p in self._procs.values())
-                if not self._failed and all_alive:
-                    self._ctrl[_CTRL_SHUTDOWN] = 1.0
-                    try:
-                        self._start_barrier.wait(timeout=10)
-                    except threading.BrokenBarrierError:
-                        pass  # dead/wedged worker; escalation handles it
-                for proc in self._procs.values():
-                    proc.join(timeout=10)
-                reap(self._procs.values())
-        finally:
-            for shm in self._shms.values():
-                shm.close()
-                try:
-                    shm.unlink()
-                except FileNotFoundError:  # pragma: no cover
-                    pass
-            # The start supervisor's respawn callback refers back to the
-            # pool, so the pool itself waits for the cyclic GC; release
-            # its capacity-sized workspace now.
-            self._ws = None
-
-    # ------------------------------------------------------------------
-
-    def _check_job(
-        self,
-        sa: str,
-        sb: str,
-        sc: str,
-        scheme: ScoringScheme,
-        tube: PruningTube | None,
-    ) -> None:
-        if self._closed:
-            raise RuntimeError("pool is closed")
-        if self._failed:
-            raise RuntimeError(
-                "pool is unusable after an unrecovered worker failure"
-            )
-        check_sequences((sa, sb, sc), count=3)
-        if scheme.is_affine:
-            raise ValueError("WavefrontPool implements the linear gap model")
-        dims = (len(sa), len(sb), len(sc))
-        for n, cap in zip(dims, self.capacity):
-            if n > cap:
-                raise ValueError(
-                    f"job dims {dims} exceed pool capacity {self.capacity}"
-                )
-        n1, n2, n3 = dims
-        if tube is not None and tube.shape != (n1 + 1, n2 + 1, n3 + 1):
-            raise ValueError(f"tube shape {tube.shape} does not match cube")
 
     def _run(
         self,
@@ -462,162 +228,131 @@ class WavefrontPool:
         score_only: bool,
         tube: PruningTube | None,
     ) -> tuple[float, np.ndarray | None, dict[str, Any]]:
-        """Run one job; returns (score, move_cube_copy, job meta)."""
-        self._check_job(sa, sb, sc, scheme, tube)
-        if self._serial:
+        """Run one job; returns (score, move cube, meta)."""
+        check_sequences((sa, sb, sc), count=3)
+        if scheme.is_affine:
+            raise ValueError("WavefrontPool implements the linear gap model")
+        n1, n2, n3 = len(sa), len(sb), len(sc)
+        if tube is not None and tube.shape != (n1 + 1, n2 + 1, n3 + 1):
+            raise ValueError(f"tube shape {tube.shape} does not match cube")
+        slabs = row_slabs(n1, self.workers)
+        meta: dict[str, Any] = {
+            "engine": "pool",
+            "workers": self.workers,
+            "serial_fallback": len(slabs) == 1 or not fork_available(),
+            "supervised": self.policy is not None,
+        }
+        if meta["serial_fallback"]:
             from repro.core.wavefront import wavefront_sweep
 
             res = wavefront_sweep(
-                sa, sb, sc, scheme, score_only=score_only,
-                workspace=self._ws, tube=tube,
+                sa, sb, sc, scheme, score_only=score_only, tube=tube
             )
-            job = {"active_workers": 1, "cells": res.cells_computed}
-            return res.score, res.move_cube, job
+            meta.update(
+                recoveries=0, active_workers=1, cells=res.cells_computed
+            )
+            return res.score, res.move_cube, meta
 
-        try:
-            return self._run_parallel(sa, sb, sc, scheme, score_only, tube)
-        except Exception:
-            # An unrecovered failure (WorkerFailure, broken protocol)
-            # leaves buffers in an unknown state; poison the pool so
-            # later jobs fail fast, and kill what is left.
-            self._failed = True
-            reap(self._procs.values())
-            raise
-
-    def _run_parallel(
-        self,
-        sa: str,
-        sb: str,
-        sc: str,
-        scheme: ScoringScheme,
-        score_only: bool,
-        tube: PruningTube | None,
-    ) -> tuple[float, np.ndarray | None, dict[str, Any]]:
-        n1, n2, n3 = len(sa), len(sb), len(sc)
         dims = (n1, n2, n3)
         dmax = n1 + n2 + n3
-        slabs = row_slabs(n1, self.workers)
         active = len(slabs)
-        depth = _job_band(self.band, dmax, active)
+        depth = band_depth(dmax, active) if self.band is None else self.band
         window = min(plane_window(depth), dmax + 4)
-        # Stage the job into the shared buffers.
-        v = _JobViews(self._shms, dims, window, score_only, tube is not None)
-        v.sab[:], v.sac[:], v.sbc[:] = scheme.profile_matrices(sa, sb, sc)
-        for p in v.planes:
-            p.fill(NEG)
-        if v.moves is not None:
-            v.moves.fill(0)
+        planes = _shared((window, n1 + 2, n2 + 2), np.float64)
+        planes.fill(NEG)
+        # Control block: one progress counter per worker, then one
+        # valid-cell tally per worker.
+        ctrl = _shared((2 * active,), np.float64)
+        progress = BlockProgress(ctrl, active)
+        progress.reset()
+        row_lo = row_hi = moves = None
         if tube is not None:
-            # Staged once per job: every incarnation of every worker
-            # (first spawn and respawned replacements alike) reads the
-            # same intervals and per-plane live-row windows.
-            v.klo[:], v.khi[:] = tube.klo, tube.khi
-            v.row_lo[:], v.row_hi[:] = _tube_row_ranges(tube, dmax)
-        g2 = 2.0 * scheme.gap
-        self._ctrl[_CTRL_N1] = n1
-        self._ctrl[_CTRL_N2] = n2
-        self._ctrl[_CTRL_N3] = n3
-        self._ctrl[_CTRL_G2] = g2
-        self._ctrl[_CTRL_SCORE_ONLY] = 1.0 if score_only else 0.0
-        self._ctrl[_CTRL_TUBE] = 0.0 if tube is None else 1.0
-        tallies = self._ctrl[_CTRL_COUNTER_BASE + self.workers :]
-        tallies[:] = 0.0
-        # Counters must read -1 before any worker sees the released
-        # start barrier (workers only read them post-release).
-        self._progress.reset()
+            row_lo, row_hi = _tube_row_ranges(tube, dmax)
+        if not score_only:
+            moves = _shared((n1 + 1, n2 + 1, n3 + 1), np.int8)
+        job = _Job(
+            dims=dims,
+            slabs=slabs,
+            bands=plane_bands(dmax, depth),
+            planes=list(planes),
+            profiles=scheme.profile_matrices(sa, sb, sc),
+            g2=2.0 * scheme.gap,
+            moves=moves,
+            tube=tube,
+            row_lo=row_lo,
+            row_hi=row_hi,
+            progress=progress,
+            tallies=ctrl[active:],
+        )
+        policy = self.policy
+        ctx = mp.get_context("fork")
+
+        def spawn(w: int, resume: int | None) -> mp.Process:
+            # Flush buffered trace lines so the fork doesn't duplicate them.
+            _trace.flush()
+            proc = ctx.Process(
+                target=_worker, args=(job, w, policy, resume), daemon=True
+            )
+            proc.start()
+            return proc
 
         observing = _obs.active()
         t_sweep = time.perf_counter() if observing else 0.0
-        if self._start_supervisor is not None:
-            self._start_supervisor.wait_job_start()
-        else:
-            self._start_barrier.wait()
+        procs = {w: spawn(w, None) for w in range(1, active)}
         supervisor: CounterSupervisor | None = None
-        if self.policy is not None:
+        if policy is not None:
             supervisor = CounterSupervisor(
-                self._progress,
-                self._procs,
-                respawn=self._respawn,
-                policy=self.policy,
-                final=dmax + 1,
+                progress, procs, respawn=spawn, policy=policy, final=dmax + 1
             )
             wait = supervisor.wait_for
         else:
 
             def wait(w: int, target: int) -> None:
                 delay = 0.00005
-                while self._progress.done(w) < target:
+                while progress.done(w) < target:
                     time.sleep(delay)
                     delay = min(delay * 2, 0.002)
 
-        # The dispatcher is worker 0, owning the bottom slab.
+        finished = False
         try:
-            cells = sweep_blocks(
-                0,
-                active,
-                slabs[0],
-                plane_bands(dmax, depth),
-                dims,
-                v.planes,
-                v.sab,
-                v.sac,
-                v.sbc,
-                g2,
-                v.moves,
-                self._ws,
-                self._progress,
-                wait,
-                tube=tube,
-                row_lo_by_d=v.row_lo,
-                row_hi_by_d=v.row_hi,
-            )
+            cells = job.sweep(0, wait)
             if supervisor is not None:
-                supervisor.wait_all()  # job-completion rendezvous
+                supervisor.wait_all()
             else:
-                for w in range(1, self.workers):
+                for w in procs:
                     wait(w, dmax + 1)
+            finished = True
         finally:
             if supervisor is not None:
                 self._failures.extend(supervisor.failures)
+            if finished:
+                for proc in procs.values():
+                    proc.join(timeout=5)
+            reap(procs.values())
 
-        cells += int(tallies.sum())
-        score = float(v.planes[dmax % window][n1 + 1, n2 + 1])
-        moves = None if v.moves is None else v.moves.copy()
+        cells += int(job.tallies.sum())
+        score = float(planes[dmax % window][n1 + 1, n2 + 1])
         if observing:
             _obs.record_sweep(
                 ENGINE,
                 cells=cells,
                 seconds=time.perf_counter() - t_sweep,
-                peak_plane_bytes=window * (n1 + 2) * (n2 + 2) * 8,
-                move_cube_bytes=0 if moves is None else moves.nbytes,
+                peak_plane_bytes=planes.nbytes,
+                move_cube_bytes=0 if job.moves is None else job.moves.nbytes,
             )
-        job = {
-            "active_workers": active,
-            "band": depth,
-            "window": window,
-            "cells": cells,
-        }
-        return score, moves, job
-
-    # ------------------------------------------------------------------
+        meta.update(
+            recoveries=0 if supervisor is None else len(supervisor.failures),
+            active_workers=active,
+            band=depth,
+            window=window,
+            cells=cells,
+        )
+        return score, job.moves, meta
 
     @property
     def failures(self) -> list:
-        """Failure records accumulated by supervision (empty when clean)."""
-        records = list(self._failures)
-        if self._start_supervisor is not None:
-            records.extend(self._start_supervisor.failures)
-        return records
-
-    def _meta(self, job: dict[str, Any]) -> dict[str, Any]:
-        return {
-            "engine": "pool",
-            "workers": self.workers,
-            "serial_fallback": self._serial,
-            "supervised": self.policy is not None,
-            "recoveries": len(self.failures),
-            **job,
-        }
+        """Failure records of every call's supervision (empty when clean)."""
+        return list(self._failures)
 
     def score3(
         self,
@@ -627,8 +362,8 @@ class WavefrontPool:
         scheme: ScoringScheme,
         tube: PruningTube | None = None,
     ) -> float:
-        """Optimal SP score (score-only sweep on the pool)."""
-        score, _moves, _job = self._run(sa, sb, sc, scheme, True, tube)
+        """Optimal SP score (score-only sweep)."""
+        score, _moves, _meta = self._run(sa, sb, sc, scheme, True, tube)
         return score
 
     def align3(
@@ -639,16 +374,14 @@ class WavefrontPool:
         scheme: ScoringScheme,
         tube: PruningTube | None = None,
     ) -> Alignment3:
-        """Optimal alignment with traceback, computed on the pool.
+        """Optimal alignment with traceback.
 
         ``tube`` restricts the sweep to a
         :class:`~repro.core.tube.PruningTube` keep-region; ``meta["cells"]``
         counts the valid cells computed.
         """
-        score, move_cube, job = self._run(sa, sb, sc, scheme, False, tube)
-        return traced_alignment(
-            sa, sb, sc, score, move_cube, self._meta(job), tube
-        )
+        score, move_cube, meta = self._run(sa, sb, sc, scheme, False, tube)
+        return traced_alignment(sa, sb, sc, score, move_cube, meta, tube)
 
 
 def traced_alignment(

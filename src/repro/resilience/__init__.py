@@ -8,9 +8,9 @@ Four cooperating pieces (see ``docs/robustness.md``):
     ``REPRO_FAULTS`` environment variable or the ``--inject-fault`` CLI
     flag so chaos runs are reproducible.
 :mod:`repro.resilience.supervise`
-    The supervision policy (timeouts, respawn cap) and the pool's
-    job-start waits; mid-sweep detection and block-granular respawn live
-    with the counter protocol in :mod:`repro.parallel.blockwave`.
+    The supervision policy (timeouts, respawn cap) and shared process
+    helpers; mid-sweep detection and block-granular respawn live with
+    the counter protocol in :mod:`repro.parallel.blockwave`.
 :mod:`repro.resilience.retry`
     Bounded retry-with-backoff queue receives and payload checksums for
     the message-passing runtime (:mod:`repro.cluster.mpirun`).

@@ -2,7 +2,7 @@
 
 The whole point of fronting :class:`~repro.batch.BatchScheduler` with a
 service is that its amortisations — exact dedup, permutation reuse, the
-persistent :class:`~repro.parallel.executor.WavefrontPool` — apply
+long-lived job workers that run distinct requests side by side — apply
 *across clients*, not just within one CLI invocation. The micro-batcher
 is the funnel that makes that true: every admitted request joins an
 asyncio queue; a collector coalesces the queue into batches bounded by
@@ -10,14 +10,14 @@ asyncio queue; a collector coalesces the queue into batches bounded by
 window waits at most ``max_age_s``), and each batch runs through one
 long-lived scheduler on a dedicated single worker thread.
 
-One thread, deliberately: the scheduler owns one worker pool, batches
-serialise behind it, and the event loop stays free to accept, shed and
-answer health checks while a batch computes. Results come back through
-per-job futures; a batch-level failure (e.g. a
+One thread, deliberately: the scheduler owns one set of job workers,
+batches serialise behind it, and the event loop stays free to accept,
+shed and answer health checks while a batch computes. Results come back
+through per-job futures; a batch-level failure (e.g. a
 :class:`~repro.resilience.errors.WorkerFailure` past what supervision
-can absorb) fails only the jobs in that batch and closes the pool so
-the next batch starts from a clean spawn — the server itself never
-dies with a worker.
+can absorb) fails only the jobs in that batch and closes the
+scheduler's job workers so the next batch starts from a clean spawn —
+the server itself never dies with a worker.
 """
 
 from __future__ import annotations
@@ -205,8 +205,8 @@ class MicroBatcher:
                 self._executor, self.scheduler.run, flat
             )
         except Exception as exc:
-            # Fail this batch's jobs, not the server; drop the pool so
-            # the next batch respawns clean workers.
+            # Fail this batch's jobs, not the server; close the job
+            # workers so the next batch respawns clean ones.
             for job in live:
                 if not job.future.done():
                     job.future.set_exception(exc)

@@ -10,7 +10,7 @@ from repro.core.dp3d import score3_dp3d
 from repro.parallel.executor import WavefrontPool
 
 #: Executor paths checked alongside align3's methods: ``"shared"`` is a
-#: persistent shared-memory :class:`WavefrontPool`, ``"threads"`` is
+#: direct :class:`WavefrontPool` call, ``"threads"`` is
 #: ``align3(method="blocks")`` called from a worker thread, the way the
 #: serve batcher's thread pool runs it.
 EXECUTOR_PATHS = ("shared", "threads")
@@ -19,8 +19,7 @@ EXECUTOR_PATHS = ("shared", "threads")
 def _align_on(path, seqs, scheme):
     """Align ``seqs`` with an align3 method or an executor path."""
     if path == "shared":
-        with WavefrontPool(tuple(len(s) for s in seqs), workers=2) as pool:
-            return pool.align3(*seqs, scheme)
+        return WavefrontPool(workers=2).align3(*seqs, scheme)
     if path == "threads":
         with ThreadPoolExecutor(max_workers=1) as ex:
             return ex.submit(align3, *seqs, scheme, method="blocks").result()

@@ -1,6 +1,5 @@
 """Unit tests for Carrillo–Lipman pruning (repro.core.bounds)."""
 
-import numpy as np
 import pytest
 
 from repro.core.bounds import (

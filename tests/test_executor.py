@@ -1,4 +1,6 @@
-"""Unit tests for the persistent worker pool (repro.parallel.executor)."""
+"""Unit tests for the per-call worker executor (repro.parallel.executor)."""
+
+import multiprocessing as mp
 
 import pytest
 
@@ -6,6 +8,9 @@ from repro.core.dp3d import score3_dp3d
 from repro.core.wavefront import align3_wavefront
 from repro.parallel.executor import WavefrontPool
 from repro.parallel.executor import fork_available
+from repro.resilience import faults
+from repro.resilience.errors import WorkerFailure
+from repro.resilience.supervise import SupervisionPolicy
 
 needs_fork = pytest.mark.skipif(
     not fork_available(), reason="fork start method unavailable"
@@ -14,8 +19,7 @@ needs_fork = pytest.mark.skipif(
 
 @pytest.fixture(scope="module")
 def pool():
-    with WavefrontPool((30, 30, 30), workers=2) as p:
-        yield p
+    return WavefrontPool(workers=2)
 
 
 class TestPoolCorrectness:
@@ -38,7 +42,8 @@ class TestPoolCorrectness:
     def test_many_jobs_reuse_buffers(self, pool, dna_scheme):
         from repro.seqio.generate import mutated_family
 
-        # Interleave sizes so stale buffer contents would be caught.
+        # Successive calls on one object with interleaved sizes: each
+        # call must size and initialise its own buffers.
         for n in (25, 5, 18, 1, 25, 12):
             fam = mutated_family(n, seed=n)
             got = pool.score3(*fam, dna_scheme)
@@ -64,37 +69,62 @@ class TestPoolCorrectness:
 
 class TestPoolGuards:
     def test_capacity_enforced(self, pool, dna_scheme):
-        with pytest.raises(ValueError, match="exceed pool capacity"):
-            pool.score3("A" * 40, "A", "A", dna_scheme)
+        # There is no capacity any more: the argument is gone and every
+        # call sizes its buffers to the job, however large.
+        with pytest.raises(TypeError):
+            WavefrontPool(capacity=(30, 30, 30))
+        got = pool.score3("A" * 40, "A", "A", dna_scheme)
+        assert got == score3_dp3d("A" * 40, "A", "A", dna_scheme)
 
     def test_affine_rejected(self, pool, dna_scheme):
         with pytest.raises(ValueError, match="linear"):
             pool.score3("A", "A", "A", dna_scheme.with_gaps(gap=-1, gap_open=-1))
 
-    def test_closed_pool_rejects_jobs(self, dna_scheme):
-        p = WavefrontPool((5, 5, 5), workers=1)
-        p.close()
-        with pytest.raises(RuntimeError, match="closed"):
-            p.score3("A", "A", "A", dna_scheme)
+    @needs_fork
+    def test_closed_pool_rejects_jobs(self, dna_scheme, family_small):
+        # Nothing is closed or poisoned: a call after a call that raised
+        # WorkerFailure runs normally on the same object.
+        policy = SupervisionPolicy(barrier_timeout=0.05, max_respawns=0)
+        p = WavefrontPool(workers=2, policy=policy)
+        assert not hasattr(p, "close")
+        faults.install("worker_crash@blocks:worker=1,plane=5")
+        try:
+            with pytest.raises(WorkerFailure):
+                p.score3(*family_small, dna_scheme)
+        finally:
+            faults.clear()
+        got = p.score3(*family_small, dna_scheme)
+        assert got == score3_dp3d(*family_small, dna_scheme)
 
-    def test_double_close_is_idempotent(self):
-        p = WavefrontPool((5, 5, 5), workers=2)
-        p.close()
-        p.close()
+    @needs_fork
+    def test_double_close_is_idempotent(self, dna_scheme, family_small):
+        # Nothing to close: every call joins its own workers, so two
+        # calls in a row leave no child process behind.
+        before = set(mp.active_children())
+        p = WavefrontPool(workers=2)
+        p.score3(*family_small, dna_scheme)
+        p.align3(*family_small, dna_scheme)
+        assert set(mp.active_children()) <= before
+        for name in ("close", "__enter__", "__exit__"):
+            assert not hasattr(p, name)
 
     def test_workers_validated(self):
         with pytest.raises(ValueError):
-            WavefrontPool((5, 5, 5), workers=0)
+            WavefrontPool(workers=0)
 
     def test_negative_capacity_rejected(self):
-        with pytest.raises(ValueError):
+        # The positional capacity is gone (TypeError); the band that
+        # remains is validated.
+        with pytest.raises(TypeError):
             WavefrontPool((-1, 5, 5), workers=1)
+        with pytest.raises(ValueError):
+            WavefrontPool(workers=1, band=0)
 
 
 class TestSerialFallback:
     def test_single_worker_pool(self, dna_scheme, family_small):
-        with WavefrontPool((30, 30, 30), workers=1) as p:
-            got = p.score3(*family_small, dna_scheme)
-            assert got == pytest.approx(score3_dp3d(*family_small, dna_scheme))
-            aln = p.align3(*family_small, dna_scheme)
-            assert aln.meta["serial_fallback"] is True
+        p = WavefrontPool(workers=1)
+        got = p.score3(*family_small, dna_scheme)
+        assert got == pytest.approx(score3_dp3d(*family_small, dna_scheme))
+        aln = p.align3(*family_small, dna_scheme)
+        assert aln.meta["serial_fallback"] is True

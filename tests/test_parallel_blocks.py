@@ -1,5 +1,5 @@
 """Tests for the block-tiled multiprocess wavefront engine
-(repro.parallel.blocks, a one-call WavefrontPool): bit-identity against
+(repro.parallel.blocks, one WavefrontPool call): bit-identity against
 the serial oracle across worker counts and band depths, pruning-tube
 composition, degenerate shapes and validation."""
 

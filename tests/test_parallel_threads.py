@@ -1,8 +1,8 @@
 """Unit tests for the block-tiled engine driven from a thread pool.
 
 The serve batcher runs alignment jobs on a ``ThreadPoolExecutor``, so
-``score3_blocks``/``align3_blocks`` fork their one-call pool from a
-worker thread there. These tests run the engine the same way: results,
+``score3_blocks``/``align3_blocks`` fork their workers from a worker
+thread there. These tests run the engine the same way: results,
 validation errors and determinism must not depend on the calling
 thread.
 """

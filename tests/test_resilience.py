@@ -148,32 +148,63 @@ class TestPoolRecovery:
         ref = align3_dp3d(*family_small, dna_scheme)
         dmax = sum(len(s) for s in family_small)
         faults.install(f"worker_crash@blocks:worker=1,plane={dmax // 2}")
-        with WavefrontPool((25, 25, 25), workers=2) as pool:
-            aln = pool.align3(*family_small, dna_scheme)
-            assert aln.rows == ref.rows and aln.score == ref.score
-            assert aln.meta["recoveries"] >= 1
-            assert pool.failures[0].respawned
-            # The pool stays usable after a recovery.
-            faults.clear()
-            again = pool.align3(*family_small, dna_scheme)
-            assert again.rows == ref.rows
+        pool = WavefrontPool(workers=2)
+        aln = pool.align3(*family_small, dna_scheme)
+        assert aln.rows == ref.rows and aln.score == ref.score
+        assert aln.meta["recoveries"] >= 1
+        assert pool.failures[0].respawned
+        # The pool stays usable after a recovery.
+        faults.clear()
+        again = pool.align3(*family_small, dna_scheme)
+        assert again.rows == ref.rows
 
     @needs_fork
     def test_close_releases_shared_memory_after_kill(
-        self, dna_scheme, family_small
+        self, dna_scheme, family_small, monkeypatch
     ):
-        pool = WavefrontPool((25, 25, 25), workers=2)
-        names = list(pool._names.values())
-        # Simulate a wedged worker: kill it behind the pool's back, then
-        # close() must escalate (not hang) and still unlink every segment.
-        pool._procs[1].kill()
-        pool._procs[1].join()
-        pool.close()
-        from multiprocessing import shared_memory
+        # Every call joins or reaps all of its workers before it
+        # returns, in bounded time, however it ends: normally, with a
+        # typed WorkerFailure at the respawn cap, or after a straggler
+        # was killed and replaced.
+        import multiprocessing as mp
+        import time
 
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        from repro.parallel.blocks import align3_blocks, score3_blocks
+        from repro.resilience.supervise import SupervisionPolicy
+
+        ref = align3_dp3d(*family_small, dna_scheme)
+        before = set(mp.active_children())
+
+        def bounded(call):
+            t0 = time.perf_counter()
+            try:
+                return call()
+            finally:
+                assert time.perf_counter() - t0 < 30.0
+                assert set(mp.active_children()) <= before
+
+        assert bounded(
+            lambda: score3_blocks(*family_small, dna_scheme, workers=3)
+        ) == ref.score
+
+        faults.install("worker_crash@blocks:worker=1,plane=5")
+        capped = WavefrontPool(
+            workers=2,
+            policy=SupervisionPolicy(barrier_timeout=0.05, max_respawns=0),
+        )
+        with pytest.raises(WorkerFailure):
+            bounded(lambda: capped.align3(*family_small, dna_scheme))
+        faults.clear()
+
+        # A 0.05 s scan period gives a 0.15 s straggler grace, so the
+        # 5 s stall is killed and replayed long before it would end.
+        monkeypatch.setenv("REPRO_SUPERVISE_TIMEOUT", "0.05")
+        faults.install("straggler@blocks:worker=1,delay=5,plane=10")
+        aln = bounded(
+            lambda: align3_blocks(*family_small, dna_scheme, workers=2)
+        )
+        assert aln.rows == ref.rows and aln.score == ref.score
+        assert aln.meta["recoveries"] >= 1
 
     @needs_fork
     def test_respawn_cap_raises_typed_failure(
@@ -185,31 +216,31 @@ class TestPoolRecovery:
 
         faults.install("worker_crash@blocks:worker=1,plane=5")
         policy = SupervisionPolicy(barrier_timeout=0.05, max_respawns=0)
-        with WavefrontPool((25, 25, 25), workers=2, policy=policy) as pool:
-            with pytest.raises(WorkerFailure) as excinfo:
-                pool.align3(*family_small, dna_scheme)
+        pool = WavefrontPool(workers=2, policy=policy)
+        with pytest.raises(WorkerFailure) as excinfo:
+            pool.align3(*family_small, dna_scheme)
         assert excinfo.value.failures[0].engine == "blocks"
         assert not excinfo.value.failures[0].respawned
 
     @needs_fork
     def test_unsupervised_pool_still_works(self, dna_scheme, family_small):
-        with WavefrontPool((25, 25, 25), workers=2, supervise=False) as pool:
-            aln = pool.align3(*family_small, dna_scheme)
-            assert aln.score == pytest.approx(
-                score3_dp3d(*family_small, dna_scheme)
-            )
-            assert not aln.meta["supervised"]
+        pool = WavefrontPool(workers=2, supervise=False)
+        aln = pool.align3(*family_small, dna_scheme)
+        assert aln.score == pytest.approx(
+            score3_dp3d(*family_small, dna_scheme)
+        )
+        assert not aln.meta["supervised"]
 
 
 @pytest.mark.chaos
 class TestSharedRecovery:
-    """Recovery inside a persistent pool, whose shared buffers are
-    restaged for every job it runs."""
+    """Recovery on one pool object that runs several calls, each with
+    its own buffers and workers."""
 
     @needs_fork
     def test_crash_recovers_bit_identical(self, dna_scheme, family_small):
         # A worker dies mid-way through a tube-pruned job: its
-        # replacement replays the windows staged for that job, and the
+        # replacement replays the windows computed for that job, and the
         # pool stays usable for the next (untubed) job.
         from repro.core.bounds import carrillo_lipman_tube
         from repro.core.wavefront import align3_wavefront
@@ -218,12 +249,12 @@ class TestSharedRecovery:
         ref = align3_wavefront(*family_small, dna_scheme, tube=tube)
         dmax = sum(len(s) for s in family_small)
         faults.install(f"worker_crash@blocks:worker=1,plane={dmax // 2}")
-        with WavefrontPool((25, 25, 25), workers=2) as pool:
-            aln = pool.align3(*family_small, dna_scheme, tube=tube)
-            assert aln.rows == ref.rows and aln.score == ref.score
-            assert aln.meta["cells"] == ref.meta["cells"]
-            assert aln.meta["recoveries"] >= 1
-            again = pool.align3(*family_small, dna_scheme)
+        pool = WavefrontPool(workers=2)
+        aln = pool.align3(*family_small, dna_scheme, tube=tube)
+        assert aln.rows == ref.rows and aln.score == ref.score
+        assert aln.meta["cells"] == ref.meta["cells"]
+        assert aln.meta["recoveries"] >= 1
+        again = pool.align3(*family_small, dna_scheme)
         full = align3_dp3d(*family_small, dna_scheme)
         assert again.rows == full.rows and again.score == full.score
 
@@ -231,8 +262,7 @@ class TestSharedRecovery:
     def test_straggler_is_tolerated(self, dna_scheme, family_small):
         ref = align3_dp3d(*family_small, dna_scheme)
         faults.install("straggler@blocks:worker=1,delay=0.1,plane=10")
-        with WavefrontPool((25, 25, 25), workers=2) as pool:
-            aln = pool.align3(*family_small, dna_scheme)
+        aln = WavefrontPool(workers=2).align3(*family_small, dna_scheme)
         assert aln.rows == ref.rows and aln.score == ref.score
 
 

@@ -4,8 +4,8 @@
 Runs a ~40^3 alignment under each injected fault class and asserts the
 recovery contract from ``docs/robustness.md``:
 
-* a worker crash in the block-tiled executor (a persistent
-  ``WavefrontPool`` and a one-call ``blocks`` run with a pruning tube)
+* a worker crash in the block-tiled executor (a direct
+  ``WavefrontPool`` call and a ``blocks`` run with a pruning tube)
   -> the worker is respawned at its published counter, its blocks
   replayed, and the output is **bit-identical** to the serial engine
   (the tube run to the serial tube-pruned sweep);
@@ -134,12 +134,11 @@ def main(argv: list[str] | None = None) -> int:
 
     def pool_crash() -> None:
         faults.install(f"worker_crash@blocks:worker=1,plane={mid}")
-        with WavefrontPool((args.n + 5,) * 3, workers=2) as pool:
-            aln = pool.align3(*seqs, scheme)
-            assert aln.rows == ref.rows and aln.score == ref.score, (
-                "output differs after recovery"
-            )
-            assert aln.meta["recoveries"] >= 1, "no recovery recorded"
+        aln = WavefrontPool(workers=2).align3(*seqs, scheme)
+        assert aln.rows == ref.rows and aln.score == ref.score, (
+            "output differs after recovery"
+        )
+        assert aln.meta["recoveries"] >= 1, "no recovery recorded"
 
     def blocks_tube_crash() -> None:
         tube, _stats = carrillo_lipman_tube(*seqs, scheme)
@@ -225,17 +224,17 @@ def main(argv: list[str] | None = None) -> int:
     faults.clear()
     sup_times: list[float] = []
     base_times: list[float] = []
-    with WavefrontPool((args.n + 5,) * 3, workers=2, supervise=True) as sup_pool, \
-            WavefrontPool((args.n + 5,) * 3, workers=2, supervise=False) as base_pool:
-        sup_pool.align3(*seqs, scheme)  # warmup
-        base_pool.align3(*seqs, scheme)
-        for _ in range(args.repeats):
-            t0 = time.perf_counter()
-            base_aln = base_pool.align3(*seqs, scheme)
-            base_times.append(time.perf_counter() - t0)
-            t0 = time.perf_counter()
-            sup_aln = sup_pool.align3(*seqs, scheme)
-            sup_times.append(time.perf_counter() - t0)
+    sup_pool = WavefrontPool(workers=2, supervise=True)
+    base_pool = WavefrontPool(workers=2, supervise=False)
+    sup_pool.align3(*seqs, scheme)  # warmup
+    base_pool.align3(*seqs, scheme)
+    for _ in range(args.repeats):
+        t0 = time.perf_counter()
+        base_aln = base_pool.align3(*seqs, scheme)
+        base_times.append(time.perf_counter() - t0)
+        t0 = time.perf_counter()
+        sup_aln = sup_pool.align3(*seqs, scheme)
+        sup_times.append(time.perf_counter() - t0)
     base_s, sup_s = min(base_times), min(sup_times)
     if sup_aln.rows != base_aln.rows or sup_aln.score != base_aln.score:
         failures.append("supervision changed the alignment output")
