@@ -19,7 +19,7 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument(
         "--exp",
         default="all",
-        help="experiment id (t1, t2, f1..f6, t3, t4, engines) or 'all'",
+        help="experiment id (see --list) or 'all'",
     )
     parser.add_argument(
         "--quick",
@@ -55,11 +55,12 @@ def main(argv: list[str] | None = None) -> int:
             print(f"{eid:8s} {title}")
         return 0
 
-    ids = (
-        [eid for eid, _ in list_experiments()]
-        if args.exp == "all"
-        else [args.exp]
-    )
+    known = [eid for eid, _ in list_experiments()]
+    if args.exp != "all" and args.exp not in known:
+        parser.error(
+            f"unknown experiment {args.exp!r}; known: {', '.join(known)}"
+        )
+    ids = known if args.exp == "all" else [args.exp]
     out_dir = None
     if args.out is not None:
         out_dir = pathlib.Path(args.out)

@@ -557,41 +557,6 @@ def exp_a3(quick: bool) -> ExperimentResult:
 # ---------------------------------------------------------------------------
 
 
-@experiment("dist", "Distributed runtime demo: real ranks vs monolithic")
-def exp_dist(quick: bool) -> ExperimentResult:
-    from repro.cluster.blockgrid import BlockGrid
-    from repro.cluster.machine import MachineModel
-    from repro.cluster.mpirun import run_distributed
-    from repro.cluster.simulate import simulate_wavefront
-
-    n = 16 if quick else 24
-    seqs = _family(n, seed=55)
-    reference = score3_wavefront(*seqs, _DNA)
-    table = Table(
-        f"Distributed message-passing ranks (DNA, n~{n}, block 6)",
-        ["procs", "score_ok", "messages", "comm_bytes", "ledger_matches_sim"],
-    )
-    data: dict[str, list] = {"rows": []}
-    dims = tuple(len(s) for s in seqs)
-    grid = BlockGrid.for_sequences(*dims, 6)
-    for procs in (1, 2, 4):
-        res = run_distributed(*seqs, _DNA, block=6, procs=procs)
-        ok = abs(res.score - reference) < 1e-9
-        assert ok, "distributed ranks disagree with the monolithic engine"
-        if procs == 1:
-            matches = res.messages == 0
-        else:
-            sim = simulate_wavefront(grid, MachineModel(procs=procs))
-            matches = (
-                res.messages == sim.messages
-                and res.comm_bytes == sim.comm_volume_bytes
-            )
-        row = (procs, ok, res.messages, res.comm_bytes, matches)
-        table.add_row(*row)
-        data["rows"].append(row)
-    return ExperimentResult("dist", "distributed demo", table.render(), data)
-
-
 @experiment("engines", "Engine overview: agreement and throughput")
 def exp_engines(quick: bool) -> ExperimentResult:
     n = 40 if quick else 60

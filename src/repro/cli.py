@@ -34,8 +34,8 @@ Fault tolerance (see ``docs/robustness.md``): ``align`` accepts
 ``--inject-fault SPEC`` (repeatable) and honours the ``REPRO_FAULTS``
 environment variable; ``--no-degrade`` turns the automatic
 memory-degradation ladder into a hard error. Typed failures map to
-distinct exit codes: worker/rank failure -> 3, forbidden degradation ->
-4, bad fault spec -> 5.
+distinct exit codes: worker failure -> 3, forbidden degradation -> 4,
+bad fault spec -> 5.
 """
 
 from __future__ import annotations

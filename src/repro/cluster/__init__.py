@@ -13,7 +13,10 @@ The simulation preserves what the paper's scaling figures actually measure
 the computation/communication ratio — which is what determines speedup
 shape, efficiency rolloff and the block-size sweet spot. Per-cell compute
 time can be calibrated against the real vectorised engine on this machine
-(:func:`repro.cluster.machine.calibrate_t_cell`).
+(:func:`repro.cluster.machine.calibrate_t_cell`). :mod:`execute` runs
+the same block decomposition in-process and checks that it yields the
+exact optimum and that its ghost-transfer ledger matches the simulator's
+message and byte accounting.
 """
 
 from repro.cluster.machine import (
@@ -28,7 +31,6 @@ from repro.cluster.simulate import simulate_wavefront, SimResult
 from repro.cluster.metrics import speedup_series, efficiency_series, comm_volume_series
 from repro.cluster.memory import per_rank_memory, max_length_for_budget, MemoryProfile
 from repro.cluster.execute import execute_blocked, BlockedResult
-from repro.cluster.mpirun import run_distributed, DistributedResult
 from repro.cluster.hetero import (
     HeterogeneousMachine,
     simulate_wavefront_hetero,
@@ -38,8 +40,6 @@ from repro.cluster.hetero import (
 
 __all__ = [
     "execute_blocked",
-    "run_distributed",
-    "DistributedResult",
     "BlockedResult",
     "per_rank_memory",
     "max_length_for_budget",

@@ -347,33 +347,6 @@ def record_serve_batch_failure(kind: str) -> None:
         metrics.registry().counter("serve_batch_failures").inc()
 
 
-def record_comm(
-    rank: int,
-    *,
-    checksum_bad: int = 0,
-    resends: int = 0,
-    retries: int = 0,
-) -> None:
-    """Per-rank message-passing failure accounting (mpirun)."""
-    if trace.enabled and (checksum_bad or resends or retries):
-        trace.event(
-            "comm_faults",
-            rank=rank,
-            checksum_bad=checksum_bad,
-            resends=resends,
-            retries=retries,
-        )
-    if metrics.enabled:
-        reg = metrics.registry()
-        if checksum_bad:
-            reg.counter("comm_checksum_bad").inc(checksum_bad)
-            reg.counter(f"comm_checksum_bad_rank{rank}").inc(checksum_bad)
-        if resends:
-            reg.counter("comm_resends").inc(resends)
-        if retries:
-            reg.counter("comm_retries").inc(retries)
-
-
 def record_sim(
     *,
     procs: int,

@@ -1,28 +1,29 @@
 """Fault tolerance for the parallel engines.
 
-Four cooperating pieces (see ``docs/robustness.md``):
+Three cooperating pieces (see ``docs/robustness.md``):
 
 :mod:`repro.resilience.faults`
     Deterministic, seed-driven fault injection (worker crash, straggler
-    delay, corrupted ghost payload, simulated OOM), armed via the
-    ``REPRO_FAULTS`` environment variable or the ``--inject-fault`` CLI
-    flag so chaos runs are reproducible.
+    delay, simulated OOM), armed via the ``REPRO_FAULTS`` environment
+    variable or the ``--inject-fault`` CLI flag so chaos runs are
+    reproducible.
 :mod:`repro.resilience.supervise`
     The supervision policy (timeouts, respawn cap) and shared process
     helpers; mid-sweep detection and block-granular respawn live with
     the counter protocol in :mod:`repro.parallel.blockwave`.
-:mod:`repro.resilience.retry`
-    Bounded retry-with-backoff queue receives and payload checksums for
-    the message-passing runtime (:mod:`repro.cluster.mpirun`).
 :mod:`repro.resilience.degrade`
     Up-front memory estimates and the degradation ladder
-    (full-traceback -> divide-and-conquer -> banded) that replaces a raw
+    (``dp3d`` -> ``wavefront`` -> ``hirschberg``, and ``pruned``/
+    ``banded``/``blocks`` -> ``hirschberg``) that replaces a raw
     ``MemoryError`` with a structured fallback.
 
+Beside them, :class:`~repro.resilience.retry.BackoffPolicy` is the
+bounded retry schedule the router's failover path uses.
+
 Every recovery path preserves bit-identical output with the serial
-engine: the wavefront only needs planes ``d-1..d-3``, which survive a
-worker death in the shared buffers, so replaying from a worker's last
-published plane is idempotent.
+engine: a respawned worker replays its blocks from its last published
+readiness counter over planes that survive its death in the shared
+buffers, so the replay is idempotent.
 """
 
 from __future__ import annotations
@@ -38,11 +39,10 @@ from repro.resilience.errors import (
     ProtocolError,
     WorkerFailure,
 )
-from repro.resilience.retry import BackoffPolicy, comm_deadline
+from repro.resilience.retry import BackoffPolicy
 
 __all__ = [
     "BackoffPolicy",
-    "comm_deadline",
     "DegradationWarning",
     "DegradedRun",
     "FailureRecord",

@@ -18,7 +18,7 @@ EXIT_BAD_FAULT_SPEC = 5
 
 @dataclass
 class FailureRecord:
-    """One observed worker/rank failure."""
+    """One observed worker failure."""
 
     engine: str
     worker: int
@@ -38,11 +38,11 @@ class FailureRecord:
 
 
 class WorkerFailure(RuntimeError):
-    """A worker or rank died (or stalled) beyond what recovery allows.
+    """A worker died (or stalled) beyond what recovery allows.
 
     Carries the accumulated failure log so callers — and the CLI's
     one-line error path — can report *which* worker failed doing *what*
-    instead of a bare ``queue.Empty`` or a hung barrier.
+    instead of hanging on a dead peer.
     """
 
     def __init__(
@@ -58,7 +58,8 @@ class WorkerFailure(RuntimeError):
 
 
 class ProtocolError(RuntimeError):
-    """The block/message protocol was violated (ordering, unknown tag)."""
+    """The block wavefront order was violated (a block ran before one of
+    its predecessors)."""
 
 
 class FaultSpecError(ValueError):

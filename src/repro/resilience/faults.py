@@ -10,25 +10,22 @@ with kinds
                    (``@batch``: a batch job worker, after computing its
                    job and before sending the result back)
 ``straggler``      the matching worker sleeps ``delay`` seconds at a plane
-``corrupt_ghost``  a ghost payload is bit-flipped *after* its checksum is
-                   computed (models wire corruption in ``mpirun``)
 ``oom``            :func:`repro.resilience.degrade.memory_budget` reports
                    ``budget`` bytes, forcing the degradation ladder
 
-and keys ``engine``, ``worker``, ``rank``, ``plane``, ``block``,
-``delay`` (seconds), ``budget`` (bytes), ``seed``, ``times``. Multiple
+and keys ``engine``, ``worker``, ``plane``, ``delay`` (seconds),
+``budget`` (bytes), ``seed``, ``times``. Multiple
 specs are separated by ``;``. Examples::
 
     worker_crash@blocks:worker=1,plane=25
     worker_crash@batch:worker=1
     straggler@blocks:worker=1,delay=0.2
-    corrupt_ghost:rank=1
     oom:budget=200000
 
 Determinism: when ``plane`` is omitted for a crash/straggler the firing
 plane is derived from ``seed`` (and the worker id) with a stable hash,
 so the same spec fires at the same place on every run. Each spec fires
-``times`` times per process (default 1 for crashes/stragglers/corruption,
+``times`` times per process (default 1 for crashes/stragglers,
 unlimited for ``oom``); forked workers inherit the armed registry, and
 supervisors respawn replacement workers with injection *disarmed* so a
 recovered sweep cannot re-kill itself forever.
@@ -49,14 +46,14 @@ from repro.resilience.errors import FaultSpecError
 #: Environment variable holding ``;``-separated fault specs.
 ENV_VAR = "REPRO_FAULTS"
 
-KINDS = ("worker_crash", "straggler", "corrupt_ghost", "oom")
+KINDS = ("worker_crash", "straggler", "oom")
 
 #: Module-level fast guard: False <=> no armed specs in this process.
 enabled = False
 
 _specs: list["FaultSpec"] = []
 
-_INT_KEYS = ("worker", "rank", "plane", "block", "seed", "times")
+_INT_KEYS = ("worker", "plane", "seed", "times", "budget")
 _FLOAT_KEYS = ("delay",)
 
 
@@ -67,9 +64,7 @@ class FaultSpec:
     kind: str
     engine: str | None = None
     worker: int | None = None
-    rank: int | None = None
     plane: int | None = None
-    block: int | None = None
     delay: float = 0.05
     budget: int = 1_000_000
     seed: int = 0
@@ -92,7 +87,7 @@ class FaultSpec:
     def spec_string(self) -> str:
         at = f"@{self.engine}" if self.engine else ""
         keys = []
-        for k in ("worker", "rank", "plane", "block", "seed"):
+        for k in ("worker", "plane", "seed"):
             v = getattr(self, k)
             if v is not None and (k != "seed" or v):
                 keys.append(f"{k}={v}")
@@ -124,15 +119,13 @@ def parse_spec(text: str) -> FaultSpec:
         key = key.strip()
         if not eq:
             raise FaultSpecError(f"bad key=value {item!r} in {text!r}")
+        if key not in _INT_KEYS + _FLOAT_KEYS:
+            raise FaultSpecError(f"unknown fault key {key!r} in {text!r}")
         try:
-            if key in _INT_KEYS or key == "budget":
-                setattr(spec, key, int(value))
-            elif key in _FLOAT_KEYS:
+            if key in _FLOAT_KEYS:
                 setattr(spec, key, float(value))
             else:
-                raise FaultSpecError(
-                    f"unknown fault key {key!r} in {text!r}"
-                )
+                setattr(spec, key, int(value))
         except ValueError as exc:
             raise FaultSpecError(
                 f"bad value for {key!r} in {text!r}: {exc}"
@@ -189,11 +182,9 @@ def _matches(spec: FaultSpec, kind: str, **where) -> bool:
     engine = where.get("engine")
     if spec.engine is not None and engine is not None and spec.engine != engine:
         return False
-    for key in ("worker", "rank", "block"):
-        want = getattr(spec, key)
-        have = where.get(key)
-        if want is not None and have is not None and want != have:
-            return False
+    want, have = spec.worker, where.get("worker")
+    if want is not None and have is not None and want != have:
+        return False
     if kind in ("worker_crash", "straggler"):
         plane = where.get("plane")
         if plane is not None:
@@ -208,8 +199,8 @@ def _matches(spec: FaultSpec, kind: str, **where) -> bool:
 def fire(kind: str, **where) -> FaultSpec | None:
     """Return (and consume one shot of) the first matching armed spec.
 
-    Callers pass their coordinates (``engine=, worker=, plane=, dmax=,
-    rank=, block=``); unspecified spec fields match anything. Returns
+    Callers pass their coordinates (``engine=, worker=, plane=,
+    dmax=``); unspecified spec fields match anything. Returns
     ``None`` — at the cost of a single bool check — when nothing is armed.
     """
     if not enabled:

@@ -1,62 +1,12 @@
-"""Bounded, observable waits for the message-passing runtime.
+"""A deterministic bounded retry schedule.
 
-:func:`queue_get_with_retry` replaces the bare ``queue.get(timeout=60)``
-that used to turn every protocol hiccup into an opaque ``queue.Empty``
-after a blind minute: it polls in short, exponentially growing slices,
-invokes a liveness probe between slices (so a dead peer raises a typed
-:class:`WorkerFailure` immediately instead of after the full deadline),
-and converts deadline exhaustion into :class:`WorkerFailure` carrying a
-description of what was being waited for.
-
-:func:`payload_checksum` / :func:`verify_payload` give every ghost
-message a CRC32 trailer so corruption in transit is detected at the
-receiver (and retransmitted by the sender) rather than silently folded
-into the DP.
+:class:`BackoffPolicy` describes a whole retry budget as one value: how
+many attempts, and the capped exponential delay between them. The
+router's failover path (:mod:`repro.router`) retries an idempotent
+request on the next replica along this schedule.
 """
 
 from __future__ import annotations
-
-import queue as _queue
-import time
-import zlib
-from typing import Any, Callable
-
-import numpy as np
-
-from repro.resilience.errors import WorkerFailure
-
-#: Environment knob for the total receive deadline (seconds).
-ENV_DEADLINE = "REPRO_COMM_TIMEOUT"
-
-DEFAULT_DEADLINE = 60.0
-
-
-def comm_deadline(environ=None) -> float:
-    """The receive deadline: ``REPRO_COMM_TIMEOUT`` when set and numeric
-    (floored at 0.1s), else :data:`DEFAULT_DEADLINE`.
-
-    A malformed value falls back with a warning rather than raising —
-    this is read deep inside worker receive loops, where a typo'd
-    environment would otherwise surface as a crash mid-alignment
-    instead of at startup.
-    """
-    import os
-    import sys
-
-    env = environ if environ is not None else os.environ
-    raw = env.get(ENV_DEADLINE, "").strip()
-    if not raw:
-        return DEFAULT_DEADLINE
-    try:
-        return max(0.1, float(raw))
-    except ValueError:
-        print(
-            f"# warning: ignoring non-numeric {ENV_DEADLINE}={raw!r}; "
-            f"using default {DEFAULT_DEADLINE:.0f}s",
-            file=sys.stderr,
-            flush=True,
-        )
-        return DEFAULT_DEADLINE
 
 
 class BackoffPolicy:
@@ -100,57 +50,3 @@ class BackoffPolicy:
 
     def total_delay_s(self) -> float:
         return sum(self.delays())
-
-
-def queue_get_with_retry(
-    q,
-    *,
-    deadline: float,
-    liveness: Callable[[], None] | None = None,
-    base_timeout: float = 0.05,
-    backoff: float = 2.0,
-    max_timeout: float = 1.0,
-    what: str = "message",
-) -> Any:
-    """Blocking ``q.get`` with backoff slices, a liveness probe and a
-    hard deadline.
-
-    ``liveness`` runs between slices; it should raise
-    :class:`WorkerFailure` when the peer is known dead. Raises
-    :class:`WorkerFailure` (not ``queue.Empty``) when ``deadline``
-    seconds elapse without a message.
-    """
-    end = time.perf_counter() + deadline
-    step = base_timeout
-    while True:
-        remaining = end - time.perf_counter()
-        if remaining <= 0:
-            raise WorkerFailure(
-                f"timed out after {deadline:.0f}s waiting for {what}"
-            )
-        try:
-            return q.get(timeout=min(step, remaining))
-        except _queue.Empty:
-            pass
-        if liveness is not None:
-            liveness()
-        step = min(step * backoff, max_timeout)
-
-
-def payload_checksum(payload: np.ndarray) -> int:
-    """CRC32 over the payload bytes (shape/dtype ride in the message key)."""
-    return zlib.crc32(np.ascontiguousarray(payload).tobytes())
-
-
-def verify_payload(payload: np.ndarray, crc: int) -> bool:
-    return payload_checksum(payload) == crc
-
-
-def corrupt_payload(payload: np.ndarray) -> np.ndarray:
-    """Bit-flip one element — the wire-corruption model the
-    ``corrupt_ghost`` fault injects *after* the checksum is computed."""
-    bad = np.array(payload, copy=True)
-    flat = bad.reshape(-1)
-    if flat.size:
-        flat[0] = -flat[0] - 1.0
-    return bad

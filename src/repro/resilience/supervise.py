@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import multiprocessing as mp
 import os
+import sys
 from dataclasses import dataclass
 
 #: Environment knob scaling the dispatcher-side timeouts (seconds).
@@ -44,11 +45,29 @@ class SupervisionPolicy:
 
     @staticmethod
     def from_env(environ=None) -> "SupervisionPolicy":
+        """The default policy, with ``barrier_timeout`` (floored at
+        0.05 s) and a 3x ``straggler_grace`` taken from
+        ``REPRO_SUPERVISE_TIMEOUT`` when it is set.
+
+        A non-numeric value falls back to the default with a warning on
+        stderr rather than raising: every ``WavefrontPool`` reads the
+        policy, so a typo'd environment would otherwise crash the
+        alignment.
+        """
         env = environ if environ is not None else os.environ
         raw = env.get(ENV_TIMEOUT, "").strip()
         if not raw:
             return SupervisionPolicy()
-        t = max(0.05, float(raw))
+        try:
+            t = max(0.05, float(raw))
+        except ValueError:
+            print(
+                f"# warning: ignoring non-numeric {ENV_TIMEOUT}={raw!r}; "
+                "using the default supervision policy",
+                file=sys.stderr,
+                flush=True,
+            )
+            return SupervisionPolicy()
         return SupervisionPolicy(barrier_timeout=t, straggler_grace=3 * t)
 
 

@@ -149,6 +149,7 @@ class TestExtensionExperiments:
             run_experiment("f3pool", quick=True)
 
     def test_dist_ledger_matches(self):
-        r = run_experiment("dist", quick=True)
-        for _procs, ok, _msgs, _bytes, matches in r.data["rows"]:
-            assert ok and matches
+        # The message-passing demo is gone; the ledger-vs-simulator check
+        # is covered by the execute_blocked tests.
+        with pytest.raises(KeyError, match="unknown experiment"):
+            run_experiment("dist", quick=True)

@@ -1,6 +1,8 @@
 """Unit tests for the per-call worker executor (repro.parallel.executor)."""
 
+import ast
 import multiprocessing as mp
+import pathlib
 
 import pytest
 
@@ -128,3 +130,29 @@ class TestSerialFallback:
         assert got == pytest.approx(score3_dp3d(*family_small, dna_scheme))
         aln = p.align3(*family_small, dna_scheme)
         assert aln.meta["serial_fallback"] is True
+
+
+#: The only modules allowed to start OS processes: the sweep executor and
+#: the batch scheduler's job workers.
+PROCESS_SPAWNERS = {"parallel/executor.py", "batch/jobs.py"}
+
+
+class TestOneProcessExecutor:
+    def test_only_executor_and_job_workers_start_processes(self):
+        pkg = pathlib.Path(__file__).resolve().parent.parent / "src" / "repro"
+        found = []
+        for path in sorted(pkg.rglob("*.py")):
+            rel = path.relative_to(pkg).as_posix()
+            for node in ast.walk(ast.parse(path.read_text(), str(path))):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                name = fn.attr if isinstance(fn, ast.Attribute) else getattr(
+                    fn, "id", None
+                )
+                if name == "Process":
+                    found.append((rel, node.lineno))
+        assert found, "scan found no Process() call at all"
+        stray = [f"{rel}:{line}" for rel, line in found
+                 if rel not in PROCESS_SPAWNERS]
+        assert not stray, f"Process() outside {sorted(PROCESS_SPAWNERS)}: {stray}"

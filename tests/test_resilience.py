@@ -1,10 +1,11 @@
 """Tests for the fault-tolerance layer (repro.resilience) and its wiring
-into the parallel engines, the cluster runtime, the API and the CLI."""
+into the parallel engines, the batch job workers, the API and the CLI."""
 
-import queue
+import importlib
+import multiprocessing as mp
+import time
 import warnings
 
-import numpy as np
 import pytest
 
 from repro.core.api import align3
@@ -25,13 +26,11 @@ from repro.resilience.errors import (
     ProtocolError,
     WorkerFailure,
 )
-from repro.resilience.retry import (
-    DEFAULT_DEADLINE,
-    comm_deadline,
-    corrupt_payload,
-    payload_checksum,
-    queue_get_with_retry,
-    verify_payload,
+from repro.resilience.supervise import (
+    ENV_TIMEOUT,
+    SupervisionPolicy,
+    parent_alive,
+    reap,
 )
 
 needs_fork = pytest.mark.skipif(
@@ -87,11 +86,11 @@ class TestFaultSpecs:
         assert not faults.enabled and not faults.active_specs()
 
     def test_fire_consumes_shots_peek_does_not(self):
-        faults.install("corrupt_ghost:rank=2")
-        assert faults.peek("corrupt_ghost", rank=2) is not None
-        assert faults.fire("corrupt_ghost", rank=2) is not None
-        assert faults.fire("corrupt_ghost", rank=2) is None  # consumed
-        assert faults.fire("corrupt_ghost", rank=1) is None  # wrong rank
+        faults.install("worker_crash:worker=2")
+        assert faults.peek("worker_crash", worker=2) is not None
+        assert faults.fire("worker_crash", worker=2) is not None
+        assert faults.fire("worker_crash", worker=2) is None  # consumed
+        assert faults.fire("worker_crash", worker=1) is None  # wrong worker
 
     def test_derived_plane_is_deterministic_and_in_range(self):
         spec = faults.parse_spec("worker_crash:seed=3")
@@ -100,45 +99,83 @@ class TestFaultSpecs:
         assert 1 <= planes.pop() <= 90
 
 
+def _sleep_forever() -> None:
+    time.sleep(600)
+
+
 class TestRetryHelpers:
+    # Only ``BackoffPolicy`` is left in ``repro.resilience.retry``; the
+    # queue-receive and checksum helpers went with the message-passing
+    # runtime, and the warn-and-default environment rule moved to
+    # ``SupervisionPolicy.from_env``.
     def test_checksum_roundtrip_and_corruption_detected(self):
-        payload = np.arange(12, dtype=np.float64).reshape(3, 4)
-        crc = payload_checksum(payload)
-        assert verify_payload(payload, crc)
-        assert not verify_payload(corrupt_payload(payload), crc)
+        retry = importlib.import_module("repro.resilience.retry")
+        for name in ("payload_checksum", "verify_payload", "corrupt_payload"):
+            assert not hasattr(retry, name), name
+        with pytest.raises(ImportError):
+            from repro.resilience.retry import payload_checksum  # noqa: F401
 
     def test_queue_get_retry_returns_message(self):
-        q = queue.Queue()
-        q.put("hello")
-        assert queue_get_with_retry(q, deadline=1.0) == "hello"
+        retry = importlib.import_module("repro.resilience.retry")
+        for name in ("queue_get_with_retry", "comm_deadline",
+                     "ENV_DEADLINE", "DEFAULT_DEADLINE"):
+            assert not hasattr(retry, name), name
+        with pytest.raises(ImportError):
+            from repro.resilience import comm_deadline  # noqa: F401
 
+    @needs_fork
     def test_queue_get_retry_raises_typed_failure(self):
-        q = queue.Queue()
-        with pytest.raises(WorkerFailure, match="waiting for ghost"):
-            queue_get_with_retry(q, deadline=0.2, what="ghost")
+        # reap() finishes in bounded time on a live child.
+        proc = mp.get_context("fork").Process(target=_sleep_forever)
+        proc.start()
+        t0 = time.perf_counter()
+        reap([proc])
+        assert time.perf_counter() - t0 < 5.0
+        assert not proc.is_alive()
+        assert proc.exitcode is not None and proc.exitcode < 0
 
+    @needs_fork
     def test_liveness_probe_short_circuits_the_deadline(self):
-        q = queue.Queue()
+        # The worker-side liveness probe: true in the test process (no
+        # parent process) and in a child whose parent is alive.
+        assert parent_alive()
+        ctx = mp.get_context("fork")
+        box = ctx.Value("i", -1)
 
-        def dead_peer():
-            raise WorkerFailure("peer died")
+        def probe():
+            box.value = int(parent_alive())
 
-        with pytest.raises(WorkerFailure, match="peer died"):
-            queue_get_with_retry(q, deadline=30.0, liveness=dead_peer)
+        proc = ctx.Process(target=probe)
+        proc.start()
+        proc.join(timeout=10)
+        assert proc.exitcode == 0 and box.value == 1
 
     def test_comm_deadline_reads_env_with_floor(self):
-        assert comm_deadline({}) == DEFAULT_DEADLINE
-        assert comm_deadline({"REPRO_COMM_TIMEOUT": "12.5"}) == 12.5
-        assert comm_deadline({"REPRO_COMM_TIMEOUT": "0.001"}) == 0.1
+        assert SupervisionPolicy.from_env({}) == SupervisionPolicy()
+        policy = SupervisionPolicy.from_env({ENV_TIMEOUT: "12.5"})
+        assert policy.barrier_timeout == 12.5
+        assert policy.straggler_grace == 37.5
+        floored = SupervisionPolicy.from_env({ENV_TIMEOUT: "0.001"})
+        assert floored.barrier_timeout == 0.05
 
-    def test_comm_deadline_falls_back_on_garbage(self, capsys):
-        # A typo'd environment must not crash a worker mid-alignment:
-        # warn on stderr and use the default.
-        assert comm_deadline(
-            {"REPRO_COMM_TIMEOUT": "sixty"}
-        ) == DEFAULT_DEADLINE
+    def test_comm_deadline_falls_back_on_garbage(
+        self, capsys, monkeypatch, dna_scheme, family_small
+    ):
+        # A typo'd environment must not crash a sweep: warn on stderr
+        # and use the default policy.
+        from repro.core.wavefront import score3_wavefront
+        from repro.parallel.blocks import score3_blocks
+
+        policy = SupervisionPolicy.from_env({ENV_TIMEOUT: "sixty"})
+        assert policy == SupervisionPolicy()
         err = capsys.readouterr().err
-        assert "warning" in err and "sixty" in err
+        assert err.count("\n") == 1
+        assert "warning" in err and "sixty" in err and ENV_TIMEOUT in err
+
+        monkeypatch.setenv(ENV_TIMEOUT, "sixty")
+        got = score3_blocks(*family_small, dna_scheme, workers=2)
+        assert got == score3_wavefront(*family_small, dna_scheme)
+        assert capsys.readouterr().err.count("# warning:") == 1
 
 
 @pytest.mark.chaos
@@ -314,26 +351,19 @@ class TestBlocksRecovery:
 
 @pytest.mark.chaos
 class TestDistributedResilience:
-    @needs_fork
-    def test_corrupt_ghost_detected_and_resent(self, dna_scheme, family_small):
-        from repro.cluster.mpirun import run_distributed
+    # Ghost corruption and rank addressing belonged to the removed
+    # message-passing runtime: specs naming them are rejected up front.
+    def test_corrupt_ghost_detected_and_resent(self):
+        with pytest.raises(FaultSpecError, match="unknown fault kind"):
+            faults.parse_spec("corrupt_ghost")
+        with pytest.raises(FaultSpecError):
+            faults.install("corrupt_ghost:rank=1")
+        assert not faults.enabled
 
-        ref = score3_dp3d(*family_small, dna_scheme)
-        faults.install("corrupt_ghost@mpirun")
-        res = run_distributed(*family_small, dna_scheme, block=6, procs=3)
-        assert res.score == pytest.approx(ref)
-        assert res.checksum_bad >= 1
-        assert res.resends >= 1
-
-    @needs_fork
-    def test_rank_death_raises_with_failure_log(self, dna_scheme, family_small):
-        from repro.cluster.mpirun import run_distributed
-
-        faults.install("worker_crash@mpirun:rank=1")
-        with pytest.raises(WorkerFailure) as excinfo:
-            run_distributed(*family_small, dna_scheme, block=6, procs=3)
-        assert excinfo.value.failures
-        assert excinfo.value.failures[0].exitcode == 13
+    def test_rank_death_raises_with_failure_log(self):
+        for spec in ("worker_crash:rank=1", "straggler:block=3"):
+            with pytest.raises(FaultSpecError, match="unknown fault key"):
+                faults.parse_spec(spec)
 
     def test_wavefront_order_violation_is_protocol_error(self):
         assert issubclass(ProtocolError, RuntimeError)

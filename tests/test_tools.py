@@ -192,7 +192,7 @@ def test_check_overhead_smoke():
 
 def test_check_chaos_smoke():
     # Small cube and loose limits: verifies every fault scenario's plumbing
-    # (injection, recovery, checksum/resend, degradation) end to end; the
+    # (injection, respawn and replay, job rerun, degradation) end to end; the
     # real 40^3 / 10% run is the standalone acceptance gate.
     result = subprocess.run(
         [
@@ -319,5 +319,5 @@ def test_check_all_rejects_unknown_gate():
 def test_api_doc_mentions_key_entry_points():
     text = (ROOT / "docs" / "api.md").read_text()
     for name in ("align3", "WavefrontPool", "simulate_wavefront",
-                 "carrillo_lipman_mask", "align_msa", "run_distributed"):
+                 "carrillo_lipman_mask", "align_msa", "execute_blocked"):
         assert name in text, name
